@@ -8,6 +8,7 @@ codes are a stable contract: 0 success, 1 reproduction check failed,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -23,15 +24,14 @@ from .core import (
     ParameterError,
 )
 from .estimator import (
-    EstimationResult,
-    ExperimentRecord,
     IllConditionedDesignError,
     InsufficientDataError,
     build_system,
     error_stats,
+    simulate_records,
     solve,
 )
-from .protocol import OMEGA_LABELS, ProtocolRun, run_protocol
+from .protocol import OMEGA_LABELS
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -111,21 +111,11 @@ def cmd_simulate(args) -> int:
         raise ParameterError(f"dt scale must be positive, got {args.dt_scale}")
     scale = _angular_scale(args)
     g_sim = config.coupling.scaled(scale)
+    runs = config.runs
+    if args.dt_scale != 1.0:
+        runs = [dataclasses.replace(r, dt=r.dt * args.dt_scale) for r in runs]
     rng = np.random.default_rng(seed)
-    records = []
-    for run in config.runs:
-        run = run if args.dt_scale == 1.0 else _rescaled(run, args.dt_scale)
-        outcome = run_protocol(run, g_sim, config.locals_)
-        r_f, exp_val = outcome.r_f, outcome.expectation
-        if noise > 0.0:
-            r_f = r_f + rng.normal(scale=noise, size=3)
-            exp_val = float(np.clip(exp_val + rng.normal(scale=noise), -1.0, 1.0))
-        records.append(
-            ExperimentRecord(
-                r_i=run.r_i, r_f=r_f, p=run.p, q=outcome.q,
-                dt=run.dt, expectation=exp_val,
-            )
-        )
+    records = simulate_records(runs, g_sim, config.locals_, noise, rng)
     meta = {
         "config_sha256": fileio.sha256_of_file(args.config),
         "seed": seed,
@@ -136,10 +126,6 @@ def cmd_simulate(args) -> int:
     }
     _write_text(args.out, fileio.dump_json(fileio.records_to_doc(records, meta)))
     return EXIT_OK
-
-
-def _rescaled(run: ProtocolRun, factor: float) -> ProtocolRun:
-    return ProtocolRun(r_i=run.r_i, p=run.p, q_tilde=run.q_tilde, dt=run.dt * factor)
 
 
 def cmd_estimate(args) -> int:
@@ -170,12 +156,7 @@ def cmd_estimate(args) -> int:
     if args.config is not None:
         provenance["config_sha256"] = fileio.sha256_of_file(args.config)
     report = fileio.report_doc(
-        EstimationResult(
-            g_est=g_est,
-            condition_number=raw.condition_number,
-            residual_norm=raw.residual_norm,
-            error_stats=stats,
-        ),
+        dataclasses.replace(raw, g_est=g_est, error_stats=stats),
         per_record_residuals=per_record,
         provenance=provenance,
     )

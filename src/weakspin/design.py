@@ -220,15 +220,12 @@ def predicted_design_matrix(
             r_f, q, exact_val = run_protocol_series(
                 run.r_i, run.p, run.q_tilde, g_prior, locals_, np.array([run.dt])
             )
-            outcome = RunOutcome(
-                r_f=r_f[0], q=q[0], expectation=float(exact_val[0]), phi2=None
-            )
+            outcome = RunOutcome(r_f=r_f[0], q=q[0], expectation=float(exact_val[0]))
         else:
             outcome = RunOutcome(
                 r_f=predict_final_bloch(run.r_i, run.p, g_prior, run.dt),
                 q=run.q_tilde,
                 expectation=0.0,
-                phi2=None,
             )
         rows[k] = build_row(record_from_run(run, outcome))
     return rows

@@ -30,9 +30,11 @@ from .protocol import (
     EPS_ORTH,
     OMEGA,
     CouplingTensor,
+    LocalHamiltonians,
     ProtocolRun,
     RunOutcome,
     _as_vec3,
+    run_protocol,
 )
 
 KAPPA_MAX_DEFAULT = 1e8
@@ -107,6 +109,29 @@ def record_from_run(run: ProtocolRun, outcome: RunOutcome) -> ExperimentRecord:
         dt=run.dt,
         expectation=outcome.expectation,
     )
+
+
+def simulate_records(
+    runs,
+    g: CouplingTensor,
+    locals_: LocalHamiltonians | None,
+    noise: float,
+    rng: np.random.Generator,
+) -> list[ExperimentRecord]:
+    """Forward-simulate runs into records, optionally with Gaussian noise.
+
+    Noise (std = noise) perturbs each r_f and then the expectation, which
+    is clipped to [-1, 1]; draws are taken from rng in run order.
+    """
+    records = []
+    for run in runs:
+        outcome = run_protocol(run, g, locals_)
+        r_f, exp_val = outcome.r_f, outcome.expectation
+        if noise > 0.0:
+            r_f = r_f + rng.normal(scale=noise, size=3)
+            exp_val = float(np.clip(exp_val + rng.normal(scale=noise), -1.0, 1.0))
+        records.append(record_from_run(run, RunOutcome(r_f, outcome.q, exp_val)))
+    return records
 
 
 def build_row(rec: ExperimentRecord) -> np.ndarray:

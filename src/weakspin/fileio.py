@@ -25,6 +25,9 @@ from .protocol import (
 
 TOOL_VERSION = "0.1.0"
 
+# A curve over this many points peaks near 160 MB; larger grids are refused.
+MAX_GRID_POINTS = 100_000
+
 
 class ConfigError(ValueError):
     """Config or record file is structurally invalid."""
@@ -85,8 +88,10 @@ def parse_grid_spec(spec) -> tuple[float, float, float]:
 
 def grid_times(grid: tuple[float, float, float]) -> np.ndarray:
     start, stop, step = grid
-    n = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(n)
+    n = np.floor((stop - start) / step + 1e-9) + 1
+    if not n <= MAX_GRID_POINTS:
+        raise ConfigError(f"grid has {n:.3g} points, above the cap of {MAX_GRID_POINTS}")
+    return start + step * np.arange(int(n))
 
 
 def parse_config(doc: dict) -> ScenarioConfig:

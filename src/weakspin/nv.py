@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import ExperimentRecord, estimate_tensor
-from .protocol import CouplingTensor, LocalHamiltonians, ProtocolRun, run_protocol
+from .estimator import error_stats, estimate_tensor, simulate_records
+from .protocol import CouplingTensor, LocalHamiltonians, ProtocolRun
 
 NV_COUPLING_MHZ = np.array(
     [
@@ -59,17 +59,10 @@ def nv_coupling() -> CouplingTensor:
 
 def nv_runs(dt_scale: float = 1.0) -> list[ProtocolRun]:
     """The six parameter sets with vectors re-normalized to unit length."""
-    runs = []
-    for r_i, p, q, dt in NV_PARAMETER_ROWS:
-        runs.append(
-            ProtocolRun(
-                r_i=_unit(r_i),
-                p=_unit(p),
-                q_tilde=_unit(q),
-                dt=dt * dt_scale,
-            )
-        )
-    return runs
+    return [
+        ProtocolRun(r_i=_unit(r_i), p=_unit(p), q_tilde=_unit(q), dt=dt * dt_scale)
+        for r_i, p, q, dt in NV_PARAMETER_ROWS
+    ]
 
 
 def _unit(v) -> np.ndarray:
@@ -108,30 +101,11 @@ def reproduce(
     g_true = nv_coupling()
     g_sim = g_true.scaled(angular_scale)
     rng = np.random.default_rng(seed)
-    records = []
-    for run in nv_runs(dt_scale):
-        outcome = run_protocol(run, g_sim, LocalHamiltonians.zero())
-        r_f = outcome.r_f
-        exp_val = outcome.expectation
-        if noise > 0.0:
-            r_f = r_f + rng.normal(scale=noise, size=3)
-            exp_val = float(np.clip(exp_val + rng.normal(scale=noise), -1.0, 1.0))
-        records.append(
-            ExperimentRecord(
-                r_i=run.r_i,
-                r_f=r_f,
-                p=run.p,
-                q=outcome.q,
-                dt=run.dt,
-                expectation=exp_val,
-            )
-        )
+    records = simulate_records(nv_runs(dt_scale), g_sim, LocalHamiltonians.zero(), noise, rng)
     result = estimate_tensor(records)
     g_est = result.g_est.scaled(1.0 / angular_scale)
-    diff = g_est.values - g_true.values
-    mean = float(diff.mean())
-    std = float(np.sqrt(((diff - mean) ** 2).sum() / (diff.size - 1)))
-    max_err = float(np.abs(diff).max())
+    mean, std = error_stats(g_true, g_est)
+    max_err = float(np.abs(g_est.values - g_true.values).max())
     passed = (
         max_err <= PASS_COMPONENT_TOL_MHZ
         and abs(mean) <= PASS_MEAN_TOL_MHZ

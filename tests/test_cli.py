@@ -188,6 +188,13 @@ def test_curve_bad_grid_is_parse_error(nv_config):
                  "--grid", "0.2:0.1:0.001", "--out", "-"]) == 2
 
 
+def test_curve_grid_above_cap_is_parse_error(nv_config, capsys):
+    # 2e11 points would exhaust memory; the cap refuses them up front
+    assert main(["curve", "--config", nv_config, "--run-index", "0",
+                 "--grid", "0.001:0.2:1e-12", "--out", "-"]) == 2
+    assert "100000" in capsys.readouterr().err
+
+
 def test_curve_index_out_of_range(nv_config):
     assert main(["curve", "--config", nv_config, "--run-index", "6", "--out", "-"]) == 3
 

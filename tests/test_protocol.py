@@ -17,7 +17,12 @@ from weakspin import (
 )
 from weakspin.core import InvalidStateError, ParameterError, bloch_to_density
 from weakspin.nv import NV_COUPLING_MHZ, nv_coupling, nv_runs
-from weakspin.protocol import OrthogonalPostSelectionError
+from weakspin.protocol import (
+    SPECTRUM_CACHE_SIZE,
+    OrthogonalPostSelectionError,
+    _cached_spectrum,
+    _spectrum,
+)
 
 from _helpers import (
     expm_series,
@@ -188,6 +193,72 @@ def test_run_protocol_series_matches_single_runs():
         assert np.allclose(r_f_s[k], out.r_f, atol=1e-12)
         assert np.allclose(q_s[k], out.q, atol=1e-12)
         assert e_s[k] == pytest.approx(out.expectation, abs=1e-12)
+
+
+SERIES_FIELDS = [
+    pytest.param((1.3, -2.7, 0.8), (-2.1, 0.4, 3.0), id="both-fields"),
+    pytest.param((0.0, 0.0, 0.0), (2.5, -1.2, 0.7), id="probe-field-only"),
+]
+
+
+@pytest.mark.parametrize("target,probe", SERIES_FIELDS)
+def test_run_protocol_series_matches_run_protocol_bit_for_bit(target, probe):
+    # the batched local-field undo performs the same arithmetic as the
+    # single-run undo, so the corrected axis agrees in every bit; r_f and
+    # the expectation come from the spectral evolution, which agrees with
+    # run_protocol's propagator to round-off, and from a single-time
+    # series call in every bit
+    rng = np.random.default_rng(35)
+    g = random_coupling(rng, max_abs=5.0)
+    locals_ = LocalHamiltonians.from_fields(target=target, probe=probe)
+    r_i, p, q = random_unit(rng), random_bloch(rng), random_unit(rng)
+    times = np.linspace(0.5 / 600, 0.5, 600)
+    r_f_s, q_s, e_s = run_protocol_series(r_i, p, q, g, locals_, times)
+    for k, t in enumerate(times):
+        out = run_protocol(ProtocolRun(r_i=r_i, p=p, q_tilde=q, dt=t), g, locals_)
+        assert np.array_equal(q_s[k], out.q)
+        assert np.allclose(r_f_s[k], out.r_f, rtol=0, atol=1e-12)
+        assert abs(e_s[k] - out.expectation) <= 1e-12
+        single = run_protocol_series(r_i, p, q, g, locals_, [t])
+        assert np.array_equal(single[0][0], r_f_s[k])
+        assert np.array_equal(single[1][0], q_s[k])
+        assert np.array_equal(single[2][0], e_s[k])
+
+
+def test_spectrum_memo_returns_read_only_arrays():
+    locals_ = LocalHamiltonians.from_fields(target=(0.0, 1.0, 0.0))
+    w, v = _spectrum(nv_coupling(), locals_)
+    assert np.array_equal(w, np.linalg.eigh(total_hamiltonian(nv_coupling(), locals_))[0])
+    for arr in (w, v):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_spectrum_memo_keys_by_content():
+    base = np.array([1.0, 2.0, 3.0, 0.5, -0.5, 0.25])
+    nudged = base.copy()
+    nudged[5] = np.nextafter(nudged[5], 1.0)
+    locals_ = LocalHamiltonians.from_fields(probe=(0.0, 0.0, 1.0))
+    cases = [
+        (CouplingTensor(base), None),
+        (CouplingTensor(nudged), None),
+        (CouplingTensor(base), locals_),
+    ]
+    spectra = [_spectrum(g, loc) for g, loc in cases]
+    for (g, loc), (w, v) in zip(cases, spectra):
+        w_ref, v_ref = np.linalg.eigh(total_hamiltonian(g, loc))
+        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+    assert len({id(w) for w, _ in spectra}) == 3
+    # equal content hits the memo; zero locals are the same as none
+    assert _spectrum(CouplingTensor(base.copy()), None) is spectra[0]
+    assert _spectrum(CouplingTensor(base), LocalHamiltonians.zero()) is spectra[0]
+
+
+def test_spectrum_memo_stays_bounded():
+    rng = np.random.default_rng(36)
+    for _ in range(3 * SPECTRUM_CACHE_SIZE):
+        _spectrum(random_coupling(rng), None)
+    assert _cached_spectrum.cache_info().currsize <= SPECTRUM_CACHE_SIZE
 
 
 def test_weak_value_eigenstate():
