@@ -129,7 +129,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    records = fileio.load_records(args.records)
+    records, records_meta, records_sha256 = fileio.load_records_file(args.records)
     scale = _angular_scale(args)
     g_true = None
     kappa_max = None
@@ -146,11 +146,10 @@ def cmd_estimate(args) -> int:
     per_record = (a @ raw.g_est.values - zeta).tolist()
     stats = error_stats(g_true, g_est) if g_true is not None else None
     provenance = {
-        "records_sha256": fileio.sha256_of_file(args.records),
+        "records_sha256": records_sha256,
         "angular_scale": scale,
         "tool_version": fileio.TOOL_VERSION,
     }
-    records_meta = fileio.load_records_meta(args.records)
     if records_meta:
         provenance["records_meta"] = records_meta
     if args.config is not None:

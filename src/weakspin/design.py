@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ParameterError
-from .estimator import build_row, record_from_run
+from .estimator import build_row, build_rows, record_from_run
 from .protocol import (
     EPS_ORTH,
     CouplingTensor,
@@ -89,6 +89,41 @@ def _check_grid(times: np.ndarray, t_max: float) -> np.ndarray:
     return times
 
 
+def _curves(r_i, p, q_tilde, g, locals_, times):
+    """Correction curves of N stacked runs from one engine call.
+
+    Returns the curves and the corrected r_f[N,T,3] and q[N,T,3] they
+    were computed from, so a design reads its rows off them.
+    """
+    r_f, q, exact = run_protocol_series(r_i, p, q_tilde, g, locals_, times)
+    r_i, p, q_tilde = (np.asarray(v, dtype=float) for v in (r_i, p, q_tilde))
+    denom = 1.0 + np.matmul(r_f, r_i[:, :, None])[..., 0]
+    valid = denom >= EPS_ORTH
+    values = np.full(valid.shape, np.nan)
+    # The model reads C-contiguous copies, and a run with invalid points
+    # only those points, as one-run calls did: the last bits of a
+    # matrix-vector product depend on its operands' layout and row count.
+    r_f, q = np.ascontiguousarray(r_f), np.ascontiguousarray(q)
+    whole = valid.all(axis=1)
+    if whole.any():
+        values[whole] = np.abs(
+            exact[whole]
+            - first_order_series(r_i[whole], r_f[whole], p[whole], q[whole], times, g)
+        )
+    for k in np.flatnonzero(~whole & valid.any(axis=1)):
+        ok = valid[k]
+        values[k, ok] = np.abs(
+            exact[k, ok] - first_order_series(r_i[k], r_f[k, ok], p[k], q[k, ok], times[ok], g)
+        )
+    curves = [
+        CorrectionCurve(
+            r_i=r_i[k], p=p[k], q_tilde=q_tilde[k], times=times, values=values[k], valid=valid[k]
+        )
+        for k in range(len(r_i))
+    ]
+    return curves, r_f, q
+
+
 def correction_curve(
     r_i,
     p,
@@ -106,23 +141,8 @@ def correction_curve(
     estimator.
     """
     times = _check_grid(default_time_grid() if times is None else times, t_max)
-    r_f, q, exact = run_protocol_series(r_i, p, q_tilde, g, locals_, times)
-    denom = 1.0 + r_f @ np.asarray(r_i, dtype=float)
-    valid = denom >= EPS_ORTH
-    values = np.full(times.shape, np.nan)
-    if np.any(valid):
-        values[valid] = np.abs(
-            exact[valid]
-            - first_order_series(r_i, r_f[valid], p, q[valid], times[valid], g)
-        )
-    return CorrectionCurve(
-        r_i=np.asarray(r_i, dtype=float),
-        p=np.asarray(p, dtype=float),
-        q_tilde=np.asarray(q_tilde, dtype=float),
-        times=times,
-        values=values,
-        valid=valid,
-    )
+    stack = (np.asarray(v, dtype=float)[None] for v in (r_i, p, q_tilde))
+    return _curves(*stack, g, locals_, times)[0][0]
 
 
 def find_dents(
@@ -164,9 +184,12 @@ def weak_horizon(curve: CorrectionCurve, threshold: float) -> float | None:
     return float(curve.times[idx])
 
 
+def _index_at(curve: CorrectionCurve, time: float) -> int:
+    return int(np.argmin(np.abs(curve.times - time)))
+
+
 def _delta_at(curve: CorrectionCurve, time: float) -> float:
-    idx = int(np.argmin(np.abs(curve.times - time)))
-    return float(curve.values[idx])
+    return float(curve.values[_index_at(curve, time)])
 
 
 def assign_time(
@@ -241,38 +264,40 @@ def sample_designs(
     threshold: float = DENT_THRESHOLD_DEFAULT,
     dt_min: float = DT_MIN_DEFAULT,
     locals_: LocalHamiltonians | None = None,
-    exact: bool = True,
 ) -> list[DesignCandidate]:
     """Sample n candidate parameter sets and score them, best first.
 
     Each candidate holds n_runs (r_i, p, q_tilde) triples drawn uniform
     on the sphere, with interaction times assigned per run from the
-    correction curve under the prior tensor (see assign_time).  The
-    returned list is sorted by condition number of the predicted design
-    matrix, so rank-deficient candidates (condition number infinite)
-    sort last.  Deterministic for a fixed seed.
+    correction curve under the prior tensor (see assign_time).  A
+    candidate's curves come from one stacked engine call, and its
+    predicted design matrix is read off them at the assigned times, row
+    for row what predicted_design_matrix gives.  The returned list is
+    sorted by condition number of that matrix, so rank-deficient
+    candidates (condition number infinite) sort last.  Deterministic for
+    a fixed seed.
     """
     if n < 1:
         raise ParameterError(f"need at least one candidate, got {n}")
     rng = np.random.default_rng(seed)
-    grid = default_time_grid() if times is None else np.asarray(times, dtype=float)
+    grid = _check_grid(default_time_grid() if times is None else times, T_MAX_DEFAULT)
     out: list[DesignCandidate] = []
     for _ in range(n):
-        runs = []
-        max_delta = 0.0
-        for _ in range(n_runs):
-            r_i, p, q = sample_unit_vectors(rng, 3)
-            curve = correction_curve(r_i, p, q, g_prior, locals_, grid)
-            dt, delta = assign_time(curve, threshold, dt_min=dt_min)
-            max_delta = max(max_delta, delta)
-            runs.append(ProtocolRun(r_i=r_i, p=p, q_tilde=q, dt=dt))
-        a = predicted_design_matrix(runs, g_prior, locals_, exact=exact)
-        condition = float(np.linalg.cond(a))
+        draws = sample_unit_vectors(rng, 3 * n_runs)
+        r_i, p, q = draws[0::3], draws[1::3], draws[2::3]
+        curves, r_f_grid, q_grid = _curves(r_i, p, q, g_prior, locals_, grid)
+        chosen = [assign_time(curve, threshold, dt_min=dt_min) for curve in curves]
+        runs = tuple(
+            ProtocolRun(r_i=r_i[k], p=p[k], q_tilde=q[k], dt=dt)
+            for k, (dt, _) in enumerate(chosen)
+        )
+        at = (np.arange(n_runs), [_index_at(c, dt) for c, (dt, _) in zip(curves, chosen)])
+        a = build_rows(r_i, r_f_grid[at], p, q_grid[at])
         out.append(
             DesignCandidate(
-                runs=tuple(runs),
-                max_correction=max_delta,
-                condition_number=condition,
+                runs=runs,
+                max_correction=max([0.0] + [delta for _, delta in chosen]),
+                condition_number=float(np.linalg.cond(a)),
             )
         )
     out.sort(key=lambda c: (not np.isfinite(c.condition_number), c.condition_number))

@@ -134,11 +134,20 @@ def simulate_records(
     return records
 
 
+def build_rows(r_i, r_f, p, q) -> np.ndarray:
+    """Sensitivity rows of K records, from (K, 3) stacks of their vectors."""
+    c = np.cross(p, q)[:, :, None] * (r_i + r_f)[:, None, :]
+    qp = np.matmul(q[:, None, :], p[:, :, None])[:, 0]
+    c += (q - p * qp)[:, :, None] * np.cross(r_i, r_f)[:, None, :]
+    a, b = np.transpose(OMEGA)
+    # C order, as row-by-row assembly gave: a product with the matrix
+    # sums in an order set by its layout
+    return np.ascontiguousarray(np.where(a == b, c[:, a, b], c[:, a, b] + c[:, b, a]))
+
+
 def build_row(rec: ExperimentRecord) -> np.ndarray:
     """Sensitivity row mapping the six tensor components to zeta."""
-    c = np.outer(np.cross(rec.p, rec.q), rec.r_i + rec.r_f)
-    c += np.outer(rec.q - rec.p * np.dot(rec.q, rec.p), np.cross(rec.r_i, rec.r_f))
-    return np.array([c[a, b] if a == b else c[a, b] + c[b, a] for a, b in OMEGA])
+    return build_rows(rec.r_i[None], rec.r_f[None], rec.p[None], rec.q[None])[0]
 
 
 def build_system(records) -> tuple[np.ndarray, np.ndarray]:
@@ -148,13 +157,15 @@ def build_system(records) -> tuple[np.ndarray, np.ndarray]:
         raise InsufficientDataError(
             f"need at least 6 records, got {len(records)}"
         )
-    a = np.empty((len(records), 6))
-    zeta = np.empty(len(records))
-    for k, rec in enumerate(records):
-        a[k] = build_row(rec)
-        denom = 1.0 + np.dot(rec.r_i, rec.r_f)
-        zeta[k] = (rec.expectation - np.dot(rec.q, rec.p)) * denom / (2.0 * rec.dt)
-    return a, zeta
+    r_i, r_f, p, q = (
+        np.array([getattr(rec, name) for rec in records]) for name in ("r_i", "r_f", "p", "q")
+    )
+    dt = np.array([rec.dt for rec in records])
+    expectation = np.array([rec.expectation for rec in records])
+    denom = 1.0 + np.matmul(r_i[:, None, :], r_f[:, :, None])[:, 0, 0]
+    qp = np.matmul(q[:, None, :], p[:, :, None])[:, 0, 0]
+    zeta = (expectation - qp) * denom / (2.0 * dt)
+    return build_rows(r_i, r_f, p, q), zeta
 
 
 def solve(

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import PAULIS, InvalidStateError, ParameterError
+from .design import T_MAX_DEFAULT
 from .estimator import EstimationResult, ExperimentRecord, KAPPA_MAX_DEFAULT
 from .protocol import (
     OMEGA_LABELS,
@@ -25,7 +26,7 @@ from .protocol import (
 
 TOOL_VERSION = "0.1.0"
 
-# A curve over this many points peaks near 160 MB; larger grids are refused.
+# A curve over this many points peaks near 130 MB; larger grids are refused.
 MAX_GRID_POINTS = 100_000
 
 
@@ -66,6 +67,14 @@ def _vector(obj, where: str) -> np.ndarray:
     return v
 
 
+def _number(obj, where: str, kind=float):
+    """obj as a kind (float or int), or ConfigError naming where it sits."""
+    try:
+        return kind(obj)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where} is not a number: {obj!r}") from exc
+
+
 def parse_grid_spec(spec) -> tuple[float, float, float]:
     """Parse "MIN:MAX:STEP" (or a 3-sequence) into a validated triple."""
     if isinstance(spec, str):
@@ -83,6 +92,8 @@ def parse_grid_spec(spec) -> tuple[float, float, float]:
             raise ConfigError(f"grid spec {spec!r} is not a triple") from exc
     if not (0.0 < start < stop and step > 0.0):
         raise ConfigError(f"grid spec {spec!r} must satisfy 0 < MIN < MAX, STEP > 0")
+    if stop > T_MAX_DEFAULT:
+        raise ConfigError(f"grid spec {spec!r} has MAX above the {T_MAX_DEFAULT} us bound")
     return start, stop, step
 
 
@@ -109,7 +120,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
     if missing:
         raise ConfigError(f"coupling_mhz missing component(s): {sorted(missing)}")
     coupling = CouplingTensor(
-        np.array([float(coupling_doc[k]) for k in OMEGA_LABELS])
+        np.array([_number(coupling_doc[k], f"coupling_mhz.{k}") for k in OMEGA_LABELS])
     )
 
     locals_doc = doc.get("local_fields", {})
@@ -137,7 +148,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
                     r_i=_vector(run_doc["r_i"], f"{where}.r_i"),
                     p=_vector(run_doc["p"], f"{where}.p"),
                     q_tilde=_vector(run_doc["q"], f"{where}.q"),
-                    dt=float(run_doc["dt"]),
+                    dt=_number(run_doc["dt"], f"{where}.dt"),
                 )
             )
         except (InvalidStateError, ParameterError) as exc:
@@ -152,11 +163,11 @@ def parse_config(doc: dict) -> ScenarioConfig:
         "options",
     )
     options = ScenarioOptions(
-        seed=int(options_doc.get("seed", 0)),
-        noise=float(options_doc.get("noise", 0.0)),
-        dent_threshold=float(options_doc.get("dent_threshold", 1e-3)),
+        seed=_number(options_doc.get("seed", 0), "options.seed", int),
+        noise=_number(options_doc.get("noise", 0.0), "options.noise"),
+        dent_threshold=_number(options_doc.get("dent_threshold", 1e-3), "options.dent_threshold"),
         grid=parse_grid_spec(options_doc.get("grid", (1e-3, 0.2, 1e-3))),
-        kappa_max=float(options_doc.get("kappa_max", KAPPA_MAX_DEFAULT)),
+        kappa_max=_number(options_doc.get("kappa_max", KAPPA_MAX_DEFAULT), "options.kappa_max"),
     )
     return ScenarioConfig(coupling=coupling, runs=tuple(runs), locals_=locals_, options=options)
 
@@ -251,8 +262,8 @@ def parse_records(doc: dict) -> list[ExperimentRecord]:
                     r_f=_vector(rec_doc["r_f"], f"{where}.r_f"),
                     p=_vector(rec_doc["p"], f"{where}.p"),
                     q=_vector(rec_doc["q"], f"{where}.q"),
-                    dt=float(rec_doc["dt"]),
-                    expectation=float(rec_doc["expectation"]),
+                    dt=_number(rec_doc["dt"], f"{where}.dt"),
+                    expectation=_number(rec_doc["expectation"], f"{where}.expectation"),
                 )
             )
         except (InvalidStateError, ParameterError) as exc:
@@ -260,18 +271,27 @@ def parse_records(doc: dict) -> list[ExperimentRecord]:
     return records
 
 
+def load_records_file(path: str) -> tuple[list[ExperimentRecord], dict, str]:
+    """Records, 'meta' block (empty when absent) and sha256 of a record file.
+
+    All three come from one read, so the digest describes the bytes that
+    were parsed.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    doc = json.loads(data.decode("utf-8"))
+    records = parse_records(doc)
+    meta = doc.get("meta", {})
+    return records, meta if isinstance(meta, dict) else {}, hashlib.sha256(data).hexdigest()
+
+
 def load_records(path: str) -> list[ExperimentRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return parse_records(doc)
+    return load_records_file(path)[0]
 
 
 def load_records_meta(path: str) -> dict:
     """The 'meta' block of a record file, empty when absent."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    meta = doc.get("meta", {}) if isinstance(doc, dict) else {}
-    return meta if isinstance(meta, dict) else {}
+    return load_records_file(path)[1]
 
 
 def save_records(records, path: str, meta: dict | None = None) -> None:

@@ -297,6 +297,31 @@ def run_protocol(
     return RunOutcome(r_f=r_f, q=q, expectation=exp_val)
 
 
+def _vec3_rows(v, name: str) -> np.ndarray:
+    """A 3-vector or an (N, 3) stack as N rows."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim not in (1, 2) or v.shape[-1] != 3:
+        raise DimensionMismatchError(
+            f"{name} must be a 3-vector or an (N, 3) stack, got shape {v.shape}"
+        )
+    if not np.all(np.isfinite(v)):
+        raise InvalidStateError(f"{name} has non-finite components")
+    return v.reshape(-1, 3)
+
+
+def _densities(v: np.ndarray, name: str) -> np.ndarray:
+    """Stacked (I + v.sigma)/2 for the rows of v, as bloch_to_density computes each."""
+    norm = np.linalg.norm(v, axis=1).max()
+    if norm > 1.0 + BLOCH_NORM_ATOL:
+        raise InvalidStateError(f"{name} norm {norm} exceeds 1")
+    return (IDENTITY_2 + np.tensordot(v, PAULIS, axes=1)) / 2.0
+
+
+def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x[n] @ y[n] for every run n, each as one matrix-vector product."""
+    return np.matmul(x, y[:, :, None])[..., 0]
+
+
 def run_protocol_series(
     r_i,
     p,
@@ -305,43 +330,69 @@ def run_protocol_series(
     locals_: LocalHamiltonians | None,
     times,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized protocol over a grid of interaction times.
+    """Vectorized protocol over a stack of runs and a grid of interaction times.
 
-    One memoized eigendecomposition of H_tot serves every time (and every
-    call with the same g and locals_); the local-field undo is one batched
-    product.  Returns (r_f[n,3], q[n,3], expectation[n]) with run_protocol's
-    correction semantics, each row bit-for-bit that of a one-time call.
+    r_i, p and q_tilde are 3-vectors, or (N, 3) stacks holding one run
+    per row; every run is evaluated at every time.  One memoized
+    eigendecomposition of H_tot serves all runs and times (and every call
+    with the same g and locals_); the evolution, the partial traces, the
+    local-field undo and the Bloch read-out each act on the whole stack
+    at once.  Returns (r_f[N,T,3], q[N,T,3], expectation[N,T]) for
+    stacked input and (r_f[T,3], q[T,3], expectation[T]) for 3-vectors,
+    with run_protocol's correction semantics; each (run, time) entry is
+    bit-for-bit that of a one-run, one-time call.
     """
-    r_i = _as_vec3(r_i, "r_i")
-    p = _as_vec3(p, "p")
-    q_tilde = _as_vec3(q_tilde, "q_tilde")
+    stacked = max(np.ndim(r_i), np.ndim(p), np.ndim(q_tilde)) == 2
+    r_i = _vec3_rows(r_i, "r_i")
+    p = _vec3_rows(p, "p")
+    q_tilde = _vec3_rows(q_tilde, "q_tilde")
+    n = len(r_i)
+    if len(p) != n or len(q_tilde) != n:
+        raise DimensionMismatchError("r_i, p and q_tilde must stack the same number of runs")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ParameterError("times must be a non-empty 1-d array")
     if not np.all(times > 0.0):
         raise ParameterError("all times must be positive")
 
-    phi1 = tensor_product(bloch_to_density(r_i), bloch_to_density(p))
+    rho_t0, rho_p0 = _densities(r_i, "r_i"), _densities(p, "p")
+    phi1 = (rho_t0[:, :, None, :, None] * rho_p0[:, None, :, None, :]).reshape(n, 4, 4)
     w, v = _spectrum(g, locals_)
     phi1_eig = v.conj().T @ phi1 @ v
     phases = np.exp(-1j * np.subtract.outer(w, w)[None] * times[:, None, None])
-    phi2 = np.einsum("ab,tbc,dc->tad", v, phases * phi1_eig[None], v.conj(), optimize=True)
+    # phi2 = v (phases * phi1_eig) v^dag: the two matrix products that
+    # einsum("ab,ntbc,dc->ntad", optimize=True) performs, over rows of
+    # (run, time, column), with each operand freed once used, so a stack
+    # of runs peaks at half the memory that einsum call takes
+    x = (phases * phi1_eig[:, None]).transpose(0, 1, 3, 2).reshape(-1, 4)
+    y = x @ v.T
+    del x
+    y = y.reshape(n, -1, 4, 4).transpose(3, 0, 1, 2).reshape(-1, 4)
+    phi2 = (y @ v.conj().T).reshape(4, n, -1, 4).transpose(1, 2, 0, 3)
+    del y
 
-    r4 = phi2.reshape(-1, 2, 2, 2, 2)
-    rho_t = np.einsum("tipjp->tij", r4)
-    rho_p = np.einsum("tipiq->tpq", r4)
-    exp_vals = np.einsum("tij,ji->t", rho_p, pauli_dot(q_tilde)).real
+    r4 = phi2.reshape(n, -1, 2, 2, 2, 2)
+    rho_t = np.einsum("ntipjp->ntij", r4)
+    rho_p = np.einsum("ntipiq->ntpq", r4)
+    q_sigma = np.tensordot(q_tilde, PAULIS, axes=1)
+    # einsum sums each trace in an order set by the operands' memory
+    # layout; giving every run its own block, laid out as a one-run
+    # call's rho_p is, keeps that order
+    rho_p_runs = np.ascontiguousarray(rho_p.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
+    exp_vals = np.einsum("ntij,nji->nt", rho_p_runs, q_sigma).real
 
     if locals_ is None or locals_.is_zero:
-        q = np.broadcast_to(q_tilde, (times.size, 3)).copy()
+        q = np.broadcast_to(q_tilde[:, None], (n, times.size, 3)).copy()
     else:
         undo_t = _undo_unitaries(locals_.h_target, times)
         undo_p = _undo_unitaries(locals_.h_probe, times)
         rho_t = undo_t @ rho_t @ undo_t.conj().transpose(0, 2, 1)
-        q_op = undo_p @ pauli_dot(q_tilde) @ undo_p.conj().transpose(0, 2, 1)
-        q = np.einsum("tij,aji->ta", q_op, PAULIS).real / 2.0
-    r_f = np.einsum("tij,aji->ta", rho_t, PAULIS).real
-    return r_f, q, exp_vals
+        q_op = undo_p @ q_sigma[:, None] @ undo_p.conj().transpose(0, 2, 1)
+        q = np.einsum("ntij,aji->nta", q_op, PAULIS).real / 2.0
+    r_f = np.einsum("ntij,aji->nta", rho_t, PAULIS).real
+    if stacked:
+        return r_f, q, exp_vals
+    return r_f[0], q[0], exp_vals[0]
 
 
 def weak_value_sigma(r_i, r_f) -> np.ndarray:
@@ -382,28 +433,36 @@ def first_order_expectation(r_i, r_f, p, q, dt: float, g: CouplingTensor) -> flo
 
 
 def first_order_series(r_i, r_f, p, q, times, g: CouplingTensor) -> np.ndarray:
-    """Vectorized first_order_expectation over per-time (r_f, q) arrays."""
-    r_i = _as_vec3(r_i, "r_i")
-    p = _as_vec3(p, "p")
-    r_f = np.asarray(r_f, dtype=float).reshape(-1, 3)
-    q = np.asarray(q, dtype=float).reshape(-1, 3)
+    """Vectorized first_order_expectation over per-time (r_f, q) arrays.
+
+    r_i and p are 3-vectors with r_f and q of shape (T, 3), returning
+    (T,); or (N, 3) stacks with r_f and q of shape (N, T, 3), returning
+    (N, T).  Each run's values are bit-for-bit those of a one-run call.
+    """
+    stacked = np.ndim(r_i) == 2
+    r_i = _vec3_rows(r_i, "r_i")
+    p = _vec3_rows(p, "p")
+    r_f = np.asarray(r_f, dtype=float).reshape(len(r_i), -1, 3)
+    q = np.asarray(q, dtype=float).reshape(len(r_i), -1, 3)
     times = np.asarray(times, dtype=float).reshape(-1)
 
-    denom = 1.0 + r_f @ r_i
+    denom = 1.0 + _rowdot(r_f, r_i)
     if np.any(denom < EPS_ORTH):
         raise OrthogonalPostSelectionError(
             "1 + r_i.r_f dropped below the orthogonality guard on the grid"
         )
-    qp = q @ p
-    cross_if = np.cross(np.broadcast_to(r_i, r_f.shape), r_f)
+    qp = _rowdot(q, p)
+    cross_if = np.cross(r_i[:, None], r_f)
     total = qp.copy()
     m = g.matrix
     for mu in range(3):
         n = m[:, mu]
-        term1 = np.cross(q, np.broadcast_to(n, q.shape)).dot(p) * (r_i[mu] + r_f[:, mu])
-        term2 = (q @ n - (p @ n) * qp) * cross_if[:, mu]
+        # p.n stays one dot product per run, as in a one-run call
+        pn = np.matmul(p[:, None, :], n[:, None])[..., 0]
+        term1 = _rowdot(np.cross(q, n), p) * (r_i[:, None, mu] + r_f[..., mu])
+        term2 = (q @ n - pn * qp) * cross_if[..., mu]
         total = total + 2.0 * times * (term1 + term2) / denom
-    return total
+    return total if stacked else total[0]
 
 
 def predict_final_bloch(r_i, p, g: CouplingTensor, dt: float) -> np.ndarray:

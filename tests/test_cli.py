@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -193,6 +194,47 @@ def test_curve_grid_above_cap_is_parse_error(nv_config, capsys):
     assert main(["curve", "--config", nv_config, "--run-index", "0",
                  "--grid", "0.001:0.2:1e-12", "--out", "-"]) == 2
     assert "100000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["curve", "--run-index", "0"], ["design", "--count", "2"]])
+def test_grid_beyond_longest_time_is_parse_error(nv_config, capsys, command):
+    argv = [command[0], "--config", nv_config, *command[1:], "--grid", "0.001:1:0.001"]
+    assert main(argv + ["--out", "-"]) == 2
+    assert "0.5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section,key",
+    [("options", "seed"), ("options", "noise"), ("coupling_mhz", "xx")],
+)
+def test_non_numeric_config_scalar_is_parse_error(tmp_path, capsys, section, key):
+    doc = _normalized_doc(NV_DOC)
+    doc[section][key] = "abc"
+    config = _write(tmp_path, "bad.json", doc)
+    assert main(["simulate", "--config", config, "--out", "-"]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["dt", "expectation"])
+def test_non_numeric_record_field_is_parse_error(nv_config, tmp_path, capsys, key):
+    records = tmp_path / "records.json"
+    main(["simulate", "--config", nv_config, "--out", str(records)])
+    doc = json.loads(records.read_text())
+    doc["records"][2][key] = [1.0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(dump_json(doc), encoding="utf-8")
+    assert main(["estimate", "--records", str(bad), "--out", "-"]) == 2
+    assert f"records[2].{key}" in capsys.readouterr().err
+
+
+def test_estimate_provenance_describes_parsed_records(nv_config, tmp_path):
+    records = tmp_path / "records.json"
+    main(["simulate", "--config", nv_config, "--seed", "4", "--out", str(records)])
+    report = tmp_path / "report.json"
+    assert main(["estimate", "--records", str(records), "--out", str(report)]) == 0
+    provenance = json.loads(report.read_text())["provenance"]
+    assert provenance["records_sha256"] == hashlib.sha256(records.read_bytes()).hexdigest()
+    assert provenance["records_meta"] == json.loads(records.read_text())["meta"]
 
 
 def test_curve_index_out_of_range(nv_config):

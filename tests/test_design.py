@@ -10,16 +10,20 @@ from weakspin import (
     find_dents,
     record_from_run,
     run_protocol,
+    run_protocol_series,
     sample_designs,
     weak_horizon,
 )
 from weakspin.core import ParameterError
 from weakspin.design import (
     CorrectionCurve,
+    _curves,
+    _delta_at,
     assign_time,
     predicted_design_matrix,
 )
 from weakspin.estimator import build_row
+from weakspin.protocol import first_order_series
 from weakspin.nv import nv_coupling, nv_runs
 
 from _helpers import random_coupling, random_unit
@@ -199,6 +203,47 @@ def test_sample_designs_candidate_runtime_validity():
     for run in best.runs:
         assert run.dt > 0.0
         assert abs(np.linalg.norm(run.q_tilde) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("fields", [None, ((0.9, -1.7, 0.4), (-1.2, 0.3, 2.2))],
+                         ids=["no-fields", "both-fields"])
+def test_sample_designs_scores_match_single_run_functions(fields):
+    # candidates are scored from one stacked engine call; their scores
+    # must equal, bit for bit, what the one-run public functions give
+    g = nv_coupling()
+    locals_ = fields and LocalHamiltonians.from_fields(*fields)
+    times = default_time_grid(stop=0.15, step=1e-3)
+    for cand in sample_designs(17, g, 12, times=times, locals_=locals_):
+        a = predicted_design_matrix(cand.runs, g, locals_)
+        assert cand.condition_number == np.linalg.cond(a)
+        deltas = [
+            _delta_at(correction_curve(r.r_i, r.p, r.q_tilde, g, locals_, times), r.dt)
+            for r in cand.runs
+        ]
+        assert cand.max_correction == max(deltas)
+
+
+def test_stacked_curves_with_invalid_points_match_single_curves():
+    # a pure probe along x rotates r_i = z about x under g_xx, reaching
+    # -r_i at dt = pi / (2 g_xx); those grid points are invalid, and a run
+    # that has them sits in the same stack as runs that have none
+    g = CouplingTensor(np.array([10.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
+    r_i = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [0.0, 0.6, 0.8]])
+    p = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    q = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    times = default_time_grid(stop=0.2, step=2e-5)
+    curves, _, _ = _curves(r_i, p, q, g, None, times)
+    assert not curves[0].valid.all() and not curves[2].valid.all()
+    assert curves[1].valid.all()
+    for k, curve in enumerate(curves):
+        # reference: a one-run series, modelled on its valid points only
+        r_f, q_f, exact = run_protocol_series(r_i[k], p[k], q[k], g, None, times)
+        ok = curve.valid
+        model = first_order_series(r_i[k], r_f[ok], p[k], q_f[ok], times[ok], g)
+        assert np.array_equal(curve.values[ok], np.abs(exact[ok] - model))
+        assert np.all(np.isnan(curve.values[~ok]))
+        single = correction_curve(r_i[k], p[k], q[k], g, times=times)
+        assert np.array_equal(curve.values, single.values, equal_nan=True)
 
 
 def test_rank_deficient_candidate_scores_infinite():

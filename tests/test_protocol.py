@@ -15,13 +15,19 @@ from weakspin import (
     total_hamiltonian,
     weak_value_sigma,
 )
-from weakspin.core import InvalidStateError, ParameterError, bloch_to_density
+from weakspin.core import (
+    DimensionMismatchError,
+    InvalidStateError,
+    ParameterError,
+    bloch_to_density,
+)
 from weakspin.nv import NV_COUPLING_MHZ, nv_coupling, nv_runs
 from weakspin.protocol import (
     SPECTRUM_CACHE_SIZE,
     OrthogonalPostSelectionError,
     _cached_spectrum,
     _spectrum,
+    first_order_series,
 )
 
 from _helpers import (
@@ -223,6 +229,75 @@ def test_run_protocol_series_matches_run_protocol_bit_for_bit(target, probe):
         assert np.array_equal(single[0][0], r_f_s[k])
         assert np.array_equal(single[1][0], q_s[k])
         assert np.array_equal(single[2][0], e_s[k])
+
+
+STACK_FIELDS = [
+    pytest.param(None, id="no-fields"),
+    pytest.param(((1.3, -2.7, 0.8), (-2.1, 0.4, 3.0)), id="both-fields"),
+]
+
+
+def _stacked_runs(rng, n):
+    r_i = np.array([random_unit(rng) for _ in range(n)])
+    p = np.array([random_bloch(rng) for _ in range(n)])
+    q = np.array([random_unit(rng) for _ in range(n)])
+    return r_i, p, q
+
+
+@pytest.mark.parametrize("fields", STACK_FIELDS)
+@pytest.mark.parametrize("n", [6, 11])
+def test_stacked_series_equals_per_run_calls(fields, n):
+    # one stacked call performs each run's arithmetic in the same order
+    # as a one-run call, so every output bit agrees
+    rng = np.random.default_rng(40 + n)
+    g = random_coupling(rng, max_abs=5.0)
+    locals_ = fields and LocalHamiltonians.from_fields(*fields)
+    r_i, p, q = _stacked_runs(rng, n)
+    times = np.linspace(0.5 / 200, 0.5, 200)
+    r_f_s, q_s, e_s = run_protocol_series(r_i, p, q, g, locals_, times)
+    assert r_f_s.shape == (n, 200, 3) and q_s.shape == (n, 200, 3) and e_s.shape == (n, 200)
+    for k in range(n):
+        r_f, q_k, e = run_protocol_series(r_i[k], p[k], q[k], g, locals_, times)
+        assert r_f.shape == (200, 3) and q_k.shape == (200, 3) and e.shape == (200,)
+        assert np.array_equal(r_f_s[k], r_f)
+        assert np.array_equal(q_s[k], q_k)
+        assert np.array_equal(e_s[k], e)
+
+
+@pytest.mark.parametrize("fields", STACK_FIELDS)
+def test_stack_of_one_equals_unstacked_call(fields):
+    rng = np.random.default_rng(47)
+    g = random_coupling(rng, max_abs=5.0)
+    locals_ = fields and LocalHamiltonians.from_fields(*fields)
+    r_i, p, q = _stacked_runs(rng, 1)
+    times = np.linspace(0.01, 0.3, 57)
+    stacked = run_protocol_series(r_i, p, q, g, locals_, times)
+    single = run_protocol_series(r_i[0], p[0], q[0], g, locals_, times)
+    for s, one in zip(stacked, single):
+        assert s.shape == (1, *one.shape)
+        assert np.array_equal(s[0], one)
+
+
+def test_stacked_series_rejects_mismatched_stacks():
+    rng = np.random.default_rng(48)
+    r_i, p, q = _stacked_runs(rng, 3)
+    with pytest.raises(DimensionMismatchError):
+        run_protocol_series(r_i, p[:2], q, nv_coupling(), None, [0.01])
+    with pytest.raises(DimensionMismatchError):
+        run_protocol_series(r_i[:, :2], p, q, nv_coupling(), None, [0.01])
+
+
+def test_stacked_first_order_series_equals_per_run_calls():
+    rng = np.random.default_rng(49)
+    g = random_coupling(rng, max_abs=5.0)
+    locals_ = LocalHamiltonians.from_fields((0.4, 1.1, -0.6), (-1.5, 0.2, 0.9))
+    r_i, p, q = _stacked_runs(rng, 7)
+    times = np.linspace(0.002, 0.4, 200)
+    r_f, q_f, _ = (np.ascontiguousarray(a) for a in run_protocol_series(r_i, p, q, g, locals_, times))
+    stacked = first_order_series(r_i, r_f, p, q_f, times, g)
+    assert stacked.shape == (7, 200)
+    for k in range(7):
+        assert np.array_equal(stacked[k], first_order_series(r_i[k], r_f[k], p[k], q_f[k], times, g))
 
 
 def test_spectrum_memo_returns_read_only_arrays():
