@@ -102,7 +102,7 @@ def _write_text(path: str, text: str) -> None:
 
 
 def cmd_simulate(args) -> int:
-    config = fileio.load_config(args.config)
+    config, config_sha256 = fileio.load_config_file(args.config)
     seed = config.options.seed if args.seed is None else args.seed
     noise = config.options.noise if args.noise is None else args.noise
     if noise < 0.0:
@@ -117,7 +117,7 @@ def cmd_simulate(args) -> int:
     rng = np.random.default_rng(seed)
     records = simulate_records(runs, g_sim, config.locals_, noise, rng)
     meta = {
-        "config_sha256": fileio.sha256_of_file(args.config),
+        "config_sha256": config_sha256,
         "seed": seed,
         "noise": noise,
         "dt_scale": args.dt_scale,
@@ -131,10 +131,9 @@ def cmd_simulate(args) -> int:
 def cmd_estimate(args) -> int:
     records, records_meta, records_sha256 = fileio.load_records_file(args.records)
     scale = _angular_scale(args)
-    g_true = None
-    kappa_max = None
+    g_true = kappa_max = config_sha256 = None
     if args.config is not None:
-        config = fileio.load_config(args.config)
+        config, config_sha256 = fileio.load_config_file(args.config)
         g_true = config.coupling
         kappa_max = config.options.kappa_max
     if args.kappa_max is not None:
@@ -152,8 +151,8 @@ def cmd_estimate(args) -> int:
     }
     if records_meta:
         provenance["records_meta"] = records_meta
-    if args.config is not None:
-        provenance["config_sha256"] = fileio.sha256_of_file(args.config)
+    if config_sha256 is not None:
+        provenance["config_sha256"] = config_sha256
     report = fileio.report_doc(
         dataclasses.replace(raw, g_est=g_est, error_stats=stats),
         per_record_residuals=per_record,

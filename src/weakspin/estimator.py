@@ -34,7 +34,7 @@ from .protocol import (
     ProtocolRun,
     RunOutcome,
     _as_vec3,
-    run_protocol,
+    run_protocol_series,
 )
 
 KAPPA_MAX_DEFAULT = 1e8
@@ -83,7 +83,7 @@ class ExperimentRecord:
             )
         if not self.dt > 0.0:
             raise InvalidRecordError(f"dt must be positive, got {self.dt}")
-        if abs(self.expectation) > 1.0 + 1e-9:
+        if not abs(self.expectation) <= 1.0 + 1e-9:  # NaN fails this too
             raise InvalidRecordError(
                 f"expectation {self.expectation} outside [-1, 1]"
             )
@@ -120,17 +120,24 @@ def simulate_records(
 ) -> list[ExperimentRecord]:
     """Forward-simulate runs into records, optionally with Gaussian noise.
 
-    Noise (std = noise) perturbs each r_f and then the expectation, which
-    is clipped to [-1, 1]; draws are taken from rng in run order.
+    All runs go through one engine call, each at its own dt.  Noise
+    (std = noise) perturbs each r_f and then the expectation, which is
+    clipped to [-1, 1]; draws are taken from rng in run order.
     """
+    runs = list(runs)
+    if not runs:
+        return []
+    r_i, p, q_tilde, dts = (
+        np.array([getattr(run, k) for run in runs]) for k in ("r_i", "p", "q_tilde", "dt")
+    )
+    r_f, q, exp_vals = run_protocol_series(r_i, p, q_tilde, g, locals_, dts[:, None])
     records = []
-    for run in runs:
-        outcome = run_protocol(run, g, locals_)
-        r_f, exp_val = outcome.r_f, outcome.expectation
+    for run, r_f_k, q_k, exp_val in zip(runs, r_f[:, 0], q[:, 0], exp_vals[:, 0]):
+        exp_val = float(exp_val)
         if noise > 0.0:
-            r_f = r_f + rng.normal(scale=noise, size=3)
+            r_f_k = r_f_k + rng.normal(scale=noise, size=3)
             exp_val = float(np.clip(exp_val + rng.normal(scale=noise), -1.0, 1.0))
-        records.append(record_from_run(run, RunOutcome(r_f, outcome.q, exp_val)))
+        records.append(record_from_run(run, RunOutcome(r_f_k, q_k, exp_val)))
     return records
 
 

@@ -172,10 +172,15 @@ def parse_config(doc: dict) -> ScenarioConfig:
     return ScenarioConfig(coupling=coupling, runs=tuple(runs), locals_=locals_, options=options)
 
 
+def load_config_file(path: str) -> tuple[ScenarioConfig, str]:
+    """Config and sha256 of a config file, both from one read of its bytes."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return parse_config(json.loads(data.decode("utf-8"))), hashlib.sha256(data).hexdigest()
+
+
 def load_config(path: str) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return parse_config(doc)
+    return load_config_file(path)[0]
 
 
 def config_to_doc(config: ScenarioConfig) -> dict:

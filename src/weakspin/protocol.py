@@ -41,11 +41,8 @@ from .core import (
     DimensionMismatchError,
     InvalidStateError,
     ParameterError,
-    bloch_to_density,
-    density_to_bloch,
     herm_exp,
     is_hermitian,
-    partial_trace,
     pauli_dot,
     tensor_product,
 )
@@ -261,10 +258,10 @@ def _spectrum(g: CouplingTensor, locals_: LocalHamiltonians | None):
 
 
 def _undo_unitaries(h: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Stacked exp(+i h t) for every t, as herm_exp(h, -t) computes each."""
+    """Stacked exp(+i h t) for every t, of shape times.shape + (2, 2)."""
     w, v = np.linalg.eigh(h)
-    phases = np.exp(-1j * w * -times[:, None])
-    return (v * phases[:, None, :]) @ v.conj().T
+    phases = np.exp(-1j * w * -times[..., None])
+    return (v * phases[..., None, :]) @ v.conj().T
 
 
 def run_protocol(
@@ -278,23 +275,11 @@ def run_protocol(
     returned (r_f, q) are the post-selected target state and measurement
     axis with the known single-spin rotations undone, so they feed the
     response model directly.  With zero local Hamiltonians q == q_tilde
-    and r_f is the raw tomography result.
+    and r_f is the raw tomography result.  This is the one-run, one-time
+    case of run_protocol_series.
     """
-    phi1 = tensor_product(bloch_to_density(run.r_i), bloch_to_density(run.p))
-    phi2 = evolve_pair(phi1, g, locals_, run.dt)
-    rho_t = partial_trace(phi2, "target")
-    rho_p = partial_trace(phi2, "probe")
-    exp_val = float(np.trace(pauli_dot(run.q_tilde) @ rho_p).real)
-
-    if locals_ is None or locals_.is_zero:
-        r_f = density_to_bloch(rho_t)
-        q = run.q_tilde.copy()
-    else:
-        undo_t = herm_exp(locals_.h_target, -run.dt)  # exp(+i H_t dt)
-        undo_p = herm_exp(locals_.h_probe, -run.dt)
-        r_f = density_to_bloch(undo_t @ rho_t @ undo_t.conj().T)
-        q = density_to_bloch(undo_p @ pauli_dot(run.q_tilde) @ undo_p.conj().T) / 2.0
-    return RunOutcome(r_f=r_f, q=q, expectation=exp_val)
+    r_f, q, exp_vals = run_protocol_series(run.r_i, run.p, run.q_tilde, g, locals_, [run.dt])
+    return RunOutcome(r_f=r_f[0], q=q[0], expectation=float(exp_vals[0]))
 
 
 def _vec3_rows(v, name: str) -> np.ndarray:
@@ -333,7 +318,8 @@ def run_protocol_series(
     """Vectorized protocol over a stack of runs and a grid of interaction times.
 
     r_i, p and q_tilde are 3-vectors, or (N, 3) stacks holding one run
-    per row; every run is evaluated at every time.  One memoized
+    per row.  times is a (T,) grid shared by every run, or an (N, T)
+    array holding each run's own times in its row.  One memoized
     eigendecomposition of H_tot serves all runs and times (and every call
     with the same g and locals_); the evolution, the partial traces, the
     local-field undo and the Bloch read-out each act on the whole stack
@@ -350,8 +336,8 @@ def run_protocol_series(
     if len(p) != n or len(q_tilde) != n:
         raise DimensionMismatchError("r_i, p and q_tilde must stack the same number of runs")
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise ParameterError("times must be a non-empty 1-d array")
+    if times.ndim not in (1, 2) or times.size == 0 or (times.ndim == 2 and len(times) != n):
+        raise ParameterError(f"times must be non-empty, (T,) or ({n}, T), got shape {times.shape}")
     if not np.all(times > 0.0):
         raise ParameterError("all times must be positive")
 
@@ -359,7 +345,8 @@ def run_protocol_series(
     phi1 = (rho_t0[:, :, None, :, None] * rho_p0[:, None, :, None, :]).reshape(n, 4, 4)
     w, v = _spectrum(g, locals_)
     phi1_eig = v.conj().T @ phi1 @ v
-    phases = np.exp(-1j * np.subtract.outer(w, w)[None] * times[:, None, None])
+    # (T, 4, 4) or (N, T, 4, 4): shared times are not repeated per run
+    phases = np.exp(-1j * np.subtract.outer(w, w) * times[..., None, None])
     # phi2 = v (phases * phi1_eig) v^dag: the two matrix products that
     # einsum("ab,ntbc,dc->ntad", optimize=True) performs, over rows of
     # (run, time, column), with each operand freed once used, so a stack
@@ -382,12 +369,12 @@ def run_protocol_series(
     exp_vals = np.einsum("ntij,nji->nt", rho_p_runs, q_sigma).real
 
     if locals_ is None or locals_.is_zero:
-        q = np.broadcast_to(q_tilde[:, None], (n, times.size, 3)).copy()
+        q = np.broadcast_to(q_tilde[:, None], (n, times.shape[-1], 3)).copy()
     else:
         undo_t = _undo_unitaries(locals_.h_target, times)
         undo_p = _undo_unitaries(locals_.h_probe, times)
-        rho_t = undo_t @ rho_t @ undo_t.conj().transpose(0, 2, 1)
-        q_op = undo_p @ q_sigma[:, None] @ undo_p.conj().transpose(0, 2, 1)
+        rho_t = undo_t @ rho_t @ undo_t.conj().swapaxes(-1, -2)
+        q_op = undo_p @ q_sigma[:, None] @ undo_p.conj().swapaxes(-1, -2)
         q = np.einsum("ntij,aji->nta", q_op, PAULIS).real / 2.0
     r_f = np.einsum("ntij,aji->nta", rho_t, PAULIS).real
     if stacked:

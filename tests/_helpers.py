@@ -127,6 +127,41 @@ def model_error_by_series(r_i, p, q, g_matrix, times):
     return out
 
 
+def outcome_by_series(r_i, p, q_tilde, g_matrix, field_t, field_p, t):
+    """(r_f, q, E) of one run with local fields, without the library.
+
+    H_tot is assembled from Kronecker products of the coupling and the
+    fields f.sigma, rho_t (x) rho_p is propagated with the truncated
+    series, r_f and E(q_tilde.sigma_p) are read off index-sum partial
+    traces, and the local rotations are undone with series exponentials
+    exp(+i f.sigma t) of each spin's field.
+    """
+    paulis = (SX, SY, SZ)
+    eye = np.eye(2, dtype=complex)
+
+    def dot(v):
+        return sum(v[a] * paulis[a] for a in range(3))
+
+    h_t, h_p = dot(field_t), dot(field_p)
+    h = np.kron(h_t, eye) + np.kron(eye, h_p) + sum(
+        g_matrix[mu, nu] * np.kron(paulis[mu], paulis[nu])
+        for mu in range(3)
+        for nu in range(3)
+    )
+    phi1 = np.kron((eye + dot(r_i)) / 2.0, (eye + dot(p)) / 2.0)
+    u = expm_series(h, t)
+    phi2 = u @ phi1 @ u.conj().T
+    rho_t = ptrace_by_index_sum(phi2, "target")
+    rho_p = ptrace_by_index_sum(phi2, "probe")
+    expectation = np.trace(rho_p @ dot(q_tilde)).real
+    undo_t, undo_p = expm_series(h_t, -t), expm_series(h_p, -t)
+    rho_t = undo_t @ rho_t @ undo_t.conj().T
+    q_op = undo_p @ dot(q_tilde) @ undo_p.conj().T
+    r_f = np.array([np.trace(rho_t @ s).real for s in paulis])
+    q = np.array([np.trace(q_op @ s).real for s in paulis]) / 2.0
+    return r_f, q, expectation
+
+
 def strict_local_minima(times, values, t_min):
     """Grid times at or beyond t_min where values dip below both neighbours."""
     return {

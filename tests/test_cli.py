@@ -237,6 +237,29 @@ def test_estimate_provenance_describes_parsed_records(nv_config, tmp_path):
     assert provenance["records_meta"] == json.loads(records.read_text())["meta"]
 
 
+def test_config_sha256_describes_the_config_file(nv_config, tmp_path):
+    with open(nv_config, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    records = tmp_path / "records.json"
+    assert main(["simulate", "--config", nv_config, "--out", str(records)]) == 0
+    assert json.loads(records.read_text())["meta"]["config_sha256"] == digest
+    report = tmp_path / "report.json"
+    argv = ["estimate", "--records", str(records), "--config", nv_config, "--out", str(report)]
+    assert main(argv) == 0
+    assert json.loads(report.read_text())["provenance"]["config_sha256"] == digest
+
+
+def test_nan_record_expectation_is_invalid_data(nv_config, tmp_path, capsys):
+    records = tmp_path / "records.json"
+    main(["simulate", "--config", nv_config, "--out", str(records)])
+    doc = json.loads(records.read_text())
+    doc["records"][2]["expectation"] = float("nan")
+    bad = tmp_path / "bad.json"
+    bad.write_text(dump_json(doc), encoding="utf-8")
+    assert main(["estimate", "--records", str(bad), "--out", "-"]) == 3
+    assert "records[2]: expectation nan" in capsys.readouterr().err
+
+
 def test_curve_index_out_of_range(nv_config):
     assert main(["curve", "--config", nv_config, "--run-index", "6", "--out", "-"]) == 3
 

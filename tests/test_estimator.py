@@ -19,6 +19,7 @@ from weakspin.estimator import (
     IllConditionedDesignError,
     InsufficientDataError,
     InvalidRecordError,
+    simulate_records,
 )
 from weakspin.nv import NV_REFERENCE_ESTIMATE_MHZ, nv_coupling, nv_runs
 from weakspin.protocol import OMEGA
@@ -56,6 +57,11 @@ def test_record_validation():
         ExperimentRecord(
             r_i=(0, 0, 1), r_f=(0, 0, 1), p=(0, 0, 1), q=(1, 0, 0),
             dt=0.1, expectation=1.5,
+        )
+    with pytest.raises(InvalidRecordError, match="expectation nan"):
+        ExperimentRecord(
+            r_i=(0, 0, 1), r_f=(0, 0, 1), p=(0, 0, 1), q=(1, 0, 0),
+            dt=0.1, expectation=float("nan"),
         )
 
 
@@ -154,6 +160,36 @@ def test_build_system_from_forward_simulation():
     a, zeta = build_system(records)
     assert a.shape == (6, 6)
     assert np.all(np.isfinite(a)) and np.all(np.isfinite(zeta))
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-3])
+def test_simulate_records_matches_per_run_loop(noise):
+    # one stacked engine call, each run at its own dt, gives the records
+    # of a run_protocol loop that draws 3 values for r_f and then 1 for
+    # the expectation per run
+    rng = np.random.default_rng(61)
+    g = random_coupling(rng, max_abs=5.0)
+    locals_ = LocalHamiltonians.from_fields(rng.normal(size=3), rng.normal(size=3))
+    runs = [
+        ProtocolRun(
+            r_i=random_unit(rng), p=random_unit(rng),
+            q_tilde=random_unit(rng), dt=rng.uniform(0.01, 0.1),
+        )
+        for _ in range(9)
+    ]
+    records = simulate_records(runs, g, locals_, noise, np.random.default_rng(8))
+    assert len(records) == len(runs)
+    ref_rng = np.random.default_rng(8)
+    for run, rec in zip(runs, records):
+        out = run_protocol(run, g, locals_)
+        r_f, expectation = out.r_f, out.expectation
+        if noise > 0.0:
+            r_f = r_f + ref_rng.normal(scale=noise, size=3)
+            expectation = float(np.clip(expectation + ref_rng.normal(scale=noise), -1.0, 1.0))
+        assert np.array_equal(rec.r_i, run.r_i) and np.array_equal(rec.p, run.p)
+        assert np.array_equal(rec.r_f, r_f) and np.array_equal(rec.q, out.q)
+        assert rec.dt == run.dt and rec.expectation == expectation
+    assert simulate_records([], g, locals_, noise, np.random.default_rng(8)) == []
 
 
 def test_solve_identity_system():

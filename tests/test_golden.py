@@ -1,10 +1,11 @@
 """Byte-identity of CLI output on a committed config.
 
 The digests pin the exact bytes the forward engine produces for one
-correction curve with local fields (dent flags included) and for one
-seeded design search.  A change to the engine that moves any output bit
-fails here; if such a change is intended, find out why the bytes moved
-and record it before updating a digest.
+correction curve with local fields (dent flags included), for one
+seeded design search, and for the noisy records of every configured run
+(which also pins the order of the noise draws).  A change to the engine
+that moves any output bit fails here; if such a change is intended,
+find out why the bytes moved and record it before updating a digest.
 """
 
 import hashlib
@@ -27,6 +28,11 @@ GOLDEN = [
         "design",
         ["design", "--config", GOLDEN_CONFIG, "--count", "5", "--seed", "7"],
         "2cd36a1b7dba42276d370fb52d9d0f1b22e3a8cb9b736ef0db7d62867c605a01",
+    ),
+    (
+        "simulate",
+        ["simulate", "--config", GOLDEN_CONFIG, "--noise", "1e-6"],
+        "bf395cb3c08b2401e45a9b67d68f94e9bf11d27b808eba91b4f697f5524003c9",
     ),
 ]
 

@@ -32,6 +32,7 @@ from weakspin.protocol import (
 
 from _helpers import (
     expm_series,
+    outcome_by_series,
     random_bloch,
     random_coupling,
     random_unit,
@@ -196,9 +197,9 @@ def test_run_protocol_series_matches_single_runs():
     r_f_s, q_s, e_s = run_protocol_series(r_i, p, q, g, locals_, times)
     for k, t in enumerate(times):
         out = run_protocol(ProtocolRun(r_i=r_i, p=p, q_tilde=q, dt=t), g, locals_)
-        assert np.allclose(r_f_s[k], out.r_f, atol=1e-12)
-        assert np.allclose(q_s[k], out.q, atol=1e-12)
-        assert e_s[k] == pytest.approx(out.expectation, abs=1e-12)
+        assert np.array_equal(r_f_s[k], out.r_f)
+        assert np.array_equal(q_s[k], out.q)
+        assert e_s[k] == out.expectation
 
 
 SERIES_FIELDS = [
@@ -209,11 +210,9 @@ SERIES_FIELDS = [
 
 @pytest.mark.parametrize("target,probe", SERIES_FIELDS)
 def test_run_protocol_series_matches_run_protocol_bit_for_bit(target, probe):
-    # the batched local-field undo performs the same arithmetic as the
-    # single-run undo, so the corrected axis agrees in every bit; r_f and
-    # the expectation come from the spectral evolution, which agrees with
-    # run_protocol's propagator to round-off, and from a single-time
-    # series call in every bit
+    # run_protocol is the one-run, one-time case of the series, and each
+    # time's arithmetic does not depend on the others, so every output
+    # bit agrees with the series and with a single-time series call
     rng = np.random.default_rng(35)
     g = random_coupling(rng, max_abs=5.0)
     locals_ = LocalHamiltonians.from_fields(target=target, probe=probe)
@@ -223,8 +222,8 @@ def test_run_protocol_series_matches_run_protocol_bit_for_bit(target, probe):
     for k, t in enumerate(times):
         out = run_protocol(ProtocolRun(r_i=r_i, p=p, q_tilde=q, dt=t), g, locals_)
         assert np.array_equal(q_s[k], out.q)
-        assert np.allclose(r_f_s[k], out.r_f, rtol=0, atol=1e-12)
-        assert abs(e_s[k] - out.expectation) <= 1e-12
+        assert np.array_equal(r_f_s[k], out.r_f)
+        assert e_s[k] == out.expectation
         single = run_protocol_series(r_i, p, q, g, locals_, [t])
         assert np.array_equal(single[0][0], r_f_s[k])
         assert np.array_equal(single[1][0], q_s[k])
@@ -276,6 +275,60 @@ def test_stack_of_one_equals_unstacked_call(fields):
     for s, one in zip(stacked, single):
         assert s.shape == (1, *one.shape)
         assert np.array_equal(s[0], one)
+
+
+@pytest.mark.parametrize("fields", STACK_FIELDS)
+@pytest.mark.parametrize("n_times", [1, 3])
+def test_per_run_times_equal_per_run_calls(fields, n_times):
+    # each run evaluated at the times in its own row performs a one-run
+    # call's arithmetic, so every output bit agrees
+    rng = np.random.default_rng(50 + n_times)
+    g = random_coupling(rng, max_abs=5.0)
+    locals_ = fields and LocalHamiltonians.from_fields(*fields)
+    n = 9
+    r_i, p, q = _stacked_runs(rng, n)
+    times = rng.uniform(0.001, 0.5, size=(n, n_times))
+    r_f_s, q_s, e_s = run_protocol_series(r_i, p, q, g, locals_, times)
+    assert r_f_s.shape == (n, n_times, 3) and q_s.shape == (n, n_times, 3)
+    assert e_s.shape == (n, n_times)
+    for k in range(n):
+        r_f, q_k, e = run_protocol_series(r_i[k], p[k], q[k], g, locals_, times[k])
+        assert np.array_equal(r_f_s[k], r_f)
+        assert np.array_equal(q_s[k], q_k)
+        assert np.array_equal(e_s[k], e)
+        for j, t in enumerate(times[k]):
+            out = run_protocol(ProtocolRun(r_i=r_i[k], p=p[k], q_tilde=q[k], dt=t), g, locals_)
+            assert np.array_equal(out.r_f, r_f_s[k, j]) and np.array_equal(out.q, q_s[k, j])
+            assert out.expectation == e_s[k, j]
+
+
+def test_per_run_times_match_series_oracle():
+    # the independent anchor of the engine with local fields and a
+    # non-zero coupling: Kronecker H_tot, Taylor propagators, index-sum
+    # partial traces
+    rng = np.random.default_rng(53)
+    g = random_coupling(rng, max_abs=5.0)
+    field_t, field_p = rng.normal(size=3) * 2.0, rng.normal(size=3) * 2.0
+    locals_ = LocalHamiltonians.from_fields(field_t, field_p)
+    r_i, p, q = _stacked_runs(rng, 8)
+    times = rng.uniform(0.005, 0.3, size=(8, 2))
+    r_f_s, q_s, e_s = run_protocol_series(r_i, p, q, g, locals_, times)
+    for k in range(8):
+        for j, t in enumerate(times[k]):
+            r_f, q_k, e = outcome_by_series(r_i[k], p[k], q[k], g.matrix, field_t, field_p, t)
+            assert np.allclose(r_f_s[k, j], r_f, rtol=0, atol=1e-12)
+            assert np.allclose(q_s[k, j], q_k, rtol=0, atol=1e-12)
+            assert abs(e_s[k, j] - e) <= 1e-12
+
+
+def test_per_run_times_need_one_row_per_run():
+    rng = np.random.default_rng(52)
+    r_i, p, q = _stacked_runs(rng, 3)
+    for shape in [(2, 1), (4, 5), (3, 1, 1), (3, 0)]:
+        with pytest.raises(ParameterError):
+            run_protocol_series(r_i, p, q, nv_coupling(), None, np.full(shape, 0.01))
+    with pytest.raises(ParameterError):
+        run_protocol_series(r_i[0], p[0], q[0], nv_coupling(), None, np.full((2, 1), 0.01))
 
 
 def test_stacked_series_rejects_mismatched_stacks():
