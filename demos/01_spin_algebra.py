@@ -12,7 +12,6 @@ from weakspin import (
     SIGMA_Z,
     bloch_to_density,
     density_to_bloch,
-    expectation,
     herm_exp,
     partial_trace,
     pauli_dot,
@@ -35,7 +34,7 @@ print(bloch_to_density(tilted))
 # so the mapping runs both ways.
 rho = bloch_to_density(tilted)
 print("recovered Bloch vector:", density_to_bloch(rho))
-print("x polarization via expectation():", expectation(rho, SIGMA_X))
+print("x polarization Tr(rho sigma_x):", np.trace(rho @ SIGMA_X).real)
 
 # pauli_dot turns an axis into the observable measuring along it.
 axis = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)

@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from weakspin import correction_curve, default_time_grid, find_dents
+from weakspin import correction_curve, find_dents, grid_times
 from weakspin.fileio import curve_csv_lines
 from weakspin.nv import NV_PARAMETER_ROWS, nv_coupling, nv_runs
 
@@ -19,7 +19,7 @@ OUT_DIR = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT_DIR, exist_ok=True)
 
 g = nv_coupling()
-grid = default_time_grid()  # 1e-3 us steps over (0, 0.2]
+grid = grid_times()  # 1e-3 us steps over (0, 0.2]
 
 print("run  published dt   local minima (dt/Delta)")
 for idx, (run, row) in enumerate(zip(nv_runs(), NV_PARAMETER_ROWS)):

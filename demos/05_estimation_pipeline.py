@@ -14,6 +14,7 @@ import numpy as np
 from weakspin import (
     ExperimentRecord,
     LocalHamiltonians,
+    error_stats,
     estimate_tensor,
     first_order_expectation,
     record_from_run,
@@ -41,17 +42,17 @@ while len(records) < 6:
     if abs(e) <= 1.0:
         records.append(ExperimentRecord(r_i=r_i, r_f=r_f, p=p, q=q, dt=dt, expectation=e))
 
-result = estimate_tensor(records, g_true=g)
+result = estimate_tensor(records)
 print("closed loop (model-generated data):")
 print(f"  worst component error: {np.abs(result.g_est.values - g.values).max():.2e} MHz")
 print(f"  condition number: {result.condition_number:.1f}")
 
 # --- 2. exact dynamics at the published times -------------------------
 records = [record_from_run(r, run_protocol(r, g, LocalHamiltonians.zero())) for r in nv_runs()]
-result = estimate_tensor(records, g_true=g)
+result = estimate_tensor(records)
 print("\nexact dynamics at the published interaction times:")
 print(result.g_est.matrix)
-mean, std = result.error_stats
+mean, std = error_stats(g, result.g_est)
 print(f"  error {mean:+.4f} +/- {std:.4f} MHz  (the model is far from weak here)")
 
 # --- 3. exact dynamics deep in the weak regime ------------------------

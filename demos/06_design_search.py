@@ -12,8 +12,8 @@ import numpy as np
 
 from weakspin import (
     ProtocolRun,
-    default_time_grid,
     estimate_tensor,
+    grid_times,
     record_from_run,
     run_protocol,
     sample_designs,
@@ -29,7 +29,7 @@ g_prior = nv_coupling()
 kappa_ref = np.linalg.cond(predicted_design_matrix(nv_runs(), g_prior))
 print(f"bundled design condition number: {kappa_ref:.2f}")
 
-grid = default_time_grid(stop=0.08, step=2e-4)
+grid = grid_times((2e-4, 0.08, 2e-4))
 candidates = sample_designs(seed=7, g_prior=g_prior, n=40, times=grid, threshold=1e-4)
 
 print("\ntop five sampled candidates:")

@@ -14,9 +14,7 @@ from .core import (
     SIGMA_Y,
     SIGMA_Z,
     bloch_to_density,
-    check_density_matrix,
     density_to_bloch,
-    expectation,
     herm_exp,
     partial_trace,
     pauli_dot,
@@ -26,8 +24,8 @@ from .design import (
     CorrectionCurve,
     DesignCandidate,
     correction_curve,
-    default_time_grid,
     find_dents,
+    grid_times,
     sample_designs,
     weak_horizon,
 )
@@ -49,9 +47,7 @@ from .protocol import (
     ProtocolRun,
     RunOutcome,
     build_interaction,
-    evolve_pair,
     first_order_expectation,
-    predict_final_bloch,
     run_protocol,
     run_protocol_series,
     total_hamiltonian,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -48,49 +49,60 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-qubit weak-measurement simulator and coupling-tensor estimator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--two-pi", action="store_true", help="treat MHz values as 2*pi rad/us")
+    add_command = functools.partial(sub.add_parser, parents=[common])
 
-    sim = sub.add_parser("simulate", help="forward-simulate configured runs into records")
+    sim = add_command("simulate", help="forward-simulate configured runs into records")
     sim.add_argument("--config", required=True, help="scenario config (JSON)")
     sim.add_argument("--out", default="-", help="output record file, '-' for stdout")
     sim.add_argument("--seed", type=int, default=None, help="override config seed")
     sim.add_argument("--noise", type=float, default=None, help="override config noise spread")
     sim.add_argument("--dt-scale", type=float, default=1.0, help="multiply every dt")
-    sim.add_argument("--two-pi", action="store_true", help="treat MHz values as 2*pi rad/us")
 
-    est = sub.add_parser("estimate", help="invert a record file into a coupling tensor")
+    est = add_command("estimate", help="invert a record file into a coupling tensor")
     est.add_argument("--records", required=True, help="record file from simulate")
     est.add_argument("--config", default=None, help="config supplying the true tensor")
     est.add_argument("--out", default="-", help="output report file, '-' for stdout")
     est.add_argument("--kappa-max", type=float, default=None, help="condition-number cap")
-    est.add_argument("--two-pi", action="store_true", help="treat MHz values as 2*pi rad/us")
 
-    cur = sub.add_parser("curve", help="emit the model-error curve of one run as CSV")
+    cur = add_command("curve", help="emit the model-error curve of one run as CSV")
     cur.add_argument("--config", required=True)
     cur.add_argument("--run-index", type=int, required=True, help="0-based run index")
     cur.add_argument("--grid", default=None, help="MIN:MAX:STEP in us")
     cur.add_argument("--threshold", type=float, default=None, help="dent threshold")
     cur.add_argument("--out", default="-", help="output CSV, '-' for stdout")
-    cur.add_argument("--two-pi", action="store_true")
 
-    des = sub.add_parser("design", help="sample and score candidate parameter sets")
+    des = add_command("design", help="sample and score candidate parameter sets")
     des.add_argument("--config", required=True, help="config supplying the prior tensor")
     des.add_argument("--count", type=int, default=50, help="number of candidates")
     des.add_argument("--seed", type=int, default=None)
     des.add_argument("--threshold", type=float, default=None)
     des.add_argument("--grid", default=None, help="MIN:MAX:STEP in us")
     des.add_argument("--out", default="-")
-    des.add_argument("--two-pi", action="store_true")
 
-    rep = sub.add_parser("reproduce-nv", help="run the bundled NV validation scenario")
+    rep = add_command("reproduce-nv", help="run the bundled NV validation scenario")
     rep.add_argument("--noise", type=float, default=0.0)
     rep.add_argument("--seed", type=int, default=0)
     rep.add_argument("--dt-scale", type=float, default=1.0)
-    rep.add_argument("--two-pi", action="store_true")
     return parser
 
 
+def _options(args, options: fileio.ScenarioOptions) -> fileio.ScenarioOptions:
+    """Config options with every flag given on the command line taking precedence."""
+    flags = {"threshold": "dent_threshold"}  # flags named otherwise than their option
+    overrides = {
+        flags.get(flag, flag): value
+        for flag in ("seed", "noise", "threshold", "grid", "kappa_max")
+        if (value := getattr(args, flag, None)) is not None
+    }
+    if "grid" in overrides:
+        overrides["grid"] = fileio.parse_grid_spec(overrides["grid"])
+    return dataclasses.replace(options, **overrides)
+
+
 def _angular_scale(args) -> float:
-    return TWO_PI if getattr(args, "two_pi", False) else 1.0
+    return TWO_PI if args.two_pi else 1.0
 
 
 def _write_text(path: str, text: str) -> None:
@@ -103,10 +115,9 @@ def _write_text(path: str, text: str) -> None:
 
 def cmd_simulate(args) -> int:
     config, config_sha256 = fileio.load_config_file(args.config)
-    seed = config.options.seed if args.seed is None else args.seed
-    noise = config.options.noise if args.noise is None else args.noise
-    if noise < 0.0:
-        raise ParameterError(f"noise spread must be >= 0, got {noise}")
+    options = _options(args, config.options)
+    if options.noise < 0.0:
+        raise ParameterError(f"noise spread must be >= 0, got {options.noise}")
     if not args.dt_scale > 0.0:
         raise ParameterError(f"dt scale must be positive, got {args.dt_scale}")
     scale = _angular_scale(args)
@@ -114,12 +125,12 @@ def cmd_simulate(args) -> int:
     runs = config.runs
     if args.dt_scale != 1.0:
         runs = [dataclasses.replace(r, dt=r.dt * args.dt_scale) for r in runs]
-    rng = np.random.default_rng(seed)
-    records = simulate_records(runs, g_sim, config.locals_, noise, rng)
+    rng = np.random.default_rng(options.seed)
+    records = simulate_records(runs, g_sim, config.locals_, options.noise, rng)
     meta = {
         "config_sha256": config_sha256,
-        "seed": seed,
-        "noise": noise,
+        "seed": options.seed,
+        "noise": options.noise,
         "dt_scale": args.dt_scale,
         "angular_scale": scale,
         "tool_version": fileio.TOOL_VERSION,
@@ -131,16 +142,13 @@ def cmd_simulate(args) -> int:
 def cmd_estimate(args) -> int:
     records, records_meta, records_sha256 = fileio.load_records_file(args.records)
     scale = _angular_scale(args)
-    g_true = kappa_max = config_sha256 = None
+    g_true = config_sha256 = None
+    options = fileio.ScenarioOptions()
     if args.config is not None:
         config, config_sha256 = fileio.load_config_file(args.config)
-        g_true = config.coupling
-        kappa_max = config.options.kappa_max
-    if args.kappa_max is not None:
-        kappa_max = args.kappa_max
-    kwargs = {} if kappa_max is None else {"kappa_max": kappa_max}
+        g_true, options = config.coupling, config.options
     a, zeta = build_system(records)
-    raw = solve(a, zeta, **kwargs)
+    raw = solve(a, zeta, kappa_max=_options(args, options).kappa_max)
     g_est = raw.g_est.scaled(1.0 / scale)
     per_record = (a @ raw.g_est.values - zeta).tolist()
     stats = error_stats(g_true, g_est) if g_true is not None else None
@@ -154,9 +162,10 @@ def cmd_estimate(args) -> int:
     if config_sha256 is not None:
         provenance["config_sha256"] = config_sha256
     report = fileio.report_doc(
-        dataclasses.replace(raw, g_est=g_est, error_stats=stats),
+        dataclasses.replace(raw, g_est=g_est),
         per_record_residuals=per_record,
         provenance=provenance,
+        error_stats=stats,
     )
     _write_text(args.out, fileio.dump_json(report))
     summary = "estimated coupling (MHz): " + ", ".join(
@@ -174,18 +183,14 @@ def cmd_curve(args) -> int:
         raise InvalidStateError(
             f"run index {args.run_index} out of range 0..{len(config.runs) - 1}"
         )
-    grid_spec = args.grid if args.grid is not None else config.options.grid
-    times = fileio.grid_times(fileio.parse_grid_spec(grid_spec))
-    threshold = (
-        config.options.dent_threshold if args.threshold is None else args.threshold
-    )
+    options = _options(args, config.options)
     scale = _angular_scale(args)
     run = config.runs[args.run_index]
     curve = design_mod.correction_curve(
         run.r_i, run.p, run.q_tilde, config.coupling.scaled(scale),
-        config.locals_, times,
+        config.locals_, design_mod.grid_times(options.grid),
     )
-    dents = set(design_mod.find_dents(curve, threshold))
+    dents = set(design_mod.find_dents(curve, options.dent_threshold))
     flags = [t in dents for t in curve.times]
     lines = fileio.curve_csv_lines(curve.times, curve.values, flags)
     _write_text(args.out, "\n".join(lines) + "\n")
@@ -194,19 +199,13 @@ def cmd_curve(args) -> int:
 
 def cmd_design(args) -> int:
     config = fileio.load_config(args.config)
-    seed = config.options.seed if args.seed is None else args.seed
-    threshold = (
-        config.options.dent_threshold if args.threshold is None else args.threshold
-    )
-    grid_spec = args.grid if args.grid is not None else config.options.grid
-    times = fileio.grid_times(fileio.parse_grid_spec(grid_spec))
-    scale = _angular_scale(args)
+    options = _options(args, config.options)
     candidates = design_mod.sample_designs(
-        seed,
-        config.coupling.scaled(scale),
+        options.seed,
+        config.coupling.scaled(_angular_scale(args)),
         args.count,
-        times=times,
-        threshold=threshold,
+        times=design_mod.grid_times(options.grid),
+        threshold=options.dent_threshold,
         locals_=config.locals_,
     )
     doc = {
@@ -226,7 +225,7 @@ def cmd_design(args) -> int:
             }
             for c in candidates
         ],
-        "seed": seed,
+        "seed": options.seed,
         "count": args.count,
     }
     _write_text(args.out, fileio.dump_json(doc))

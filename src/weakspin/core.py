@@ -15,19 +15,15 @@ from __future__ import annotations
 import numpy as np
 
 HERMITIAN_ATOL = 1e-12
-TRACE_ATOL = 1e-12
-PSD_EIGENVALUE_FLOOR = -1e-10
-UNITARY_ATOL = 1e-10
 BLOCH_NORM_ATOL = 1e-12
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
-IDENTITY_4 = np.eye(4, dtype=complex)
 PAULIS = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
-for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY_2, IDENTITY_4, PAULIS):
+for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY_2, PAULIS):
     _m.flags.writeable = False
 
 
@@ -36,7 +32,7 @@ class DimensionMismatchError(ValueError):
 
 
 class InvalidStateError(ValueError):
-    """Input violates a state invariant (Bloch norm, trace, positivity)."""
+    """Input violates a state invariant (finiteness, Bloch norm, symmetry)."""
 
 
 class NonHermitianError(ValueError):
@@ -126,38 +122,3 @@ def herm_exp(h: np.ndarray, t: float) -> np.ndarray:
         raise NonHermitianError("generator is not Hermitian within tolerance")
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
-
-
-def expectation(rho: np.ndarray, obs: np.ndarray) -> float:
-    """Real expectation value Tr(obs rho) of a Hermitian observable."""
-    rho = np.asarray(rho, dtype=complex)
-    obs = np.asarray(obs, dtype=complex)
-    if rho.shape != obs.shape:
-        raise DimensionMismatchError(
-            f"state shape {rho.shape} does not match observable shape {obs.shape}"
-        )
-    if not is_hermitian(obs):
-        raise NonHermitianError("observable is not Hermitian within tolerance")
-    value = np.trace(obs @ rho)
-    return float(value.real)
-
-
-def check_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity up to tolerances.
-
-    Returns rho unchanged so it can be used inline.  The positivity
-    floor admits eigenvalues down to -1e-10 to absorb round-off from
-    long evolutions.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape not in ((2, 2), (4, 4)):
-        raise DimensionMismatchError(f"expected 2x2 or 4x4, got shape {rho.shape}")
-    if not is_hermitian(rho):
-        raise InvalidStateError("density matrix is not Hermitian")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > TRACE_ATOL:
-        raise InvalidStateError(f"density matrix trace {tr} is not 1")
-    smallest = float(np.linalg.eigvalsh(rho)[0])
-    if smallest < PSD_EIGENVALUE_FLOOR:
-        raise InvalidStateError(f"density matrix has eigenvalue {smallest} < 0")
-    return rho

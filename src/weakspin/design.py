@@ -20,32 +20,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ParameterError
-from .estimator import build_row, build_rows, record_from_run
+from .estimator import build_rows
 from .protocol import (
     EPS_ORTH,
     CouplingTensor,
     LocalHamiltonians,
     ProtocolRun,
-    RunOutcome,
     first_order_series,
-    predict_final_bloch,
     run_protocol_series,
 )
 
 T_MAX_DEFAULT = 0.5
 DENT_THRESHOLD_DEFAULT = 1e-3
 DT_MIN_DEFAULT = 0.02
-GRID_STEP_DEFAULT = 1e-3
-GRID_STOP_DEFAULT = 0.2
+GRID_DEFAULT = (1e-3, 0.2, 1e-3)  # start, stop, step in us
 
-
-def default_time_grid(
-    stop: float = GRID_STOP_DEFAULT, step: float = GRID_STEP_DEFAULT
-) -> np.ndarray:
-    """Uniform grid over (0, stop] with the given step."""
-    if not (step > 0.0 and stop > step):
-        raise ParameterError(f"bad grid spec stop={stop} step={step}")
-    return np.arange(1, int(round(stop / step)) + 1) * step
+# A curve over this many points peaks near 130 MB; larger grids are refused.
+MAX_GRID_POINTS = 100_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,6 +67,15 @@ class DesignCandidate:
     runs: tuple[ProtocolRun, ...]
     max_correction: float
     condition_number: float
+
+
+def grid_times(grid: tuple[float, float, float] = GRID_DEFAULT) -> np.ndarray:
+    """Times start + step*k from start up to stop, for a (start, stop, step) grid."""
+    start, stop, step = grid
+    n = np.floor((stop - start) / step + 1e-9) + 1
+    if not n <= MAX_GRID_POINTS:
+        raise ParameterError(f"grid has {n:.3g} points, above the cap of {MAX_GRID_POINTS}")
+    return start + step * np.arange(int(n))
 
 
 def _check_grid(times: np.ndarray, t_max: float) -> np.ndarray:
@@ -140,7 +140,7 @@ def correction_curve(
     grid time, i.e. exactly the quantities an experiment would feed the
     estimator.
     """
-    times = _check_grid(default_time_grid() if times is None else times, t_max)
+    times = _check_grid(grid_times() if times is None else times, t_max)
     stack = (np.asarray(v, dtype=float)[None] for v in (r_i, p, q_tilde))
     return _curves(*stack, g, locals_, times)[0][0]
 
@@ -225,33 +225,18 @@ def sample_unit_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def predicted_design_matrix(
-    runs,
-    g_prior: CouplingTensor,
-    locals_: LocalHamiltonians | None = None,
-    *,
-    exact: bool = True,
+    runs, g_prior: CouplingTensor, locals_: LocalHamiltonians | None = None
 ) -> np.ndarray:
     """Design matrix a candidate would produce under the prior tensor.
 
-    With exact=True the final target vectors come from full simulation;
-    otherwise from the first-order prediction, which is what remains
-    available when the prior is rough.
+    The final target vectors and axes come from one engine call that
+    simulates every run at its own dt.
     """
-    rows = np.empty((len(runs), 6))
-    for k, run in enumerate(runs):
-        if exact:
-            r_f, q, exact_val = run_protocol_series(
-                run.r_i, run.p, run.q_tilde, g_prior, locals_, np.array([run.dt])
-            )
-            outcome = RunOutcome(r_f=r_f[0], q=q[0], expectation=float(exact_val[0]))
-        else:
-            outcome = RunOutcome(
-                r_f=predict_final_bloch(run.r_i, run.p, g_prior, run.dt),
-                q=run.q_tilde,
-                expectation=0.0,
-            )
-        rows[k] = build_row(record_from_run(run, outcome))
-    return rows
+    r_i, p, q_tilde, dts = (
+        np.array([getattr(run, k) for run in runs]) for k in ("r_i", "p", "q_tilde", "dt")
+    )
+    r_f, q, _ = run_protocol_series(r_i, p, q_tilde, g_prior, locals_, dts[:, None])
+    return build_rows(r_i, r_f[:, 0], p, q[:, 0])
 
 
 def sample_designs(
@@ -280,7 +265,7 @@ def sample_designs(
     if n < 1:
         raise ParameterError(f"need at least one candidate, got {n}")
     rng = np.random.default_rng(seed)
-    grid = _check_grid(default_time_grid() if times is None else times, T_MAX_DEFAULT)
+    grid = _check_grid(grid_times() if times is None else times, T_MAX_DEFAULT)
     out: list[DesignCandidate] = []
     for _ in range(n):
         draws = sample_unit_vectors(rng, 3 * n_runs)

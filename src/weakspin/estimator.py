@@ -33,6 +33,7 @@ from .protocol import (
     LocalHamiltonians,
     ProtocolRun,
     RunOutcome,
+    _as_bloch,
     _as_vec3,
     run_protocol_series,
 )
@@ -72,8 +73,11 @@ class ExperimentRecord:
     expectation: float
 
     def __post_init__(self):
-        for name in ("r_i", "r_f", "p", "q"):
-            object.__setattr__(self, name, _as_vec3(getattr(self, name), name))
+        # prepared states must lie in the Bloch ball; a measured r_f is
+        # not checked, since simulated noise can push it just outside
+        checks = (("r_i", _as_bloch), ("r_f", _as_vec3), ("p", _as_bloch), ("q", _as_vec3))
+        for name, check in checks:
+            object.__setattr__(self, name, check(getattr(self, name), name))
         object.__setattr__(self, "dt", float(self.dt))
         object.__setattr__(self, "expectation", float(self.expectation))
         denom = 1.0 + float(np.dot(self.r_i, self.r_f))
@@ -96,7 +100,6 @@ class EstimationResult:
     g_est: CouplingTensor
     condition_number: float
     residual_norm: float
-    error_stats: tuple[float, float] | None = None
 
 
 def record_from_run(run: ProtocolRun, outcome: RunOutcome) -> ExperimentRecord:
@@ -180,7 +183,6 @@ def solve(
     zeta: np.ndarray,
     *,
     kappa_max: float = KAPPA_MAX_DEFAULT,
-    g_true: CouplingTensor | None = None,
 ) -> EstimationResult:
     """Invert the linear system into a symmetric coupling tensor.
 
@@ -201,25 +203,15 @@ def solve(
     else:
         xi, *_ = np.linalg.lstsq(a, zeta, rcond=None)
     residual = float(np.linalg.norm(a @ xi - zeta))
-    g_est = CouplingTensor(xi)
-    stats = error_stats(g_true, g_est) if g_true is not None else None
     return EstimationResult(
-        g_est=g_est,
-        condition_number=condition,
-        residual_norm=residual,
-        error_stats=stats,
+        g_est=CouplingTensor(xi), condition_number=condition, residual_norm=residual
     )
 
 
-def estimate_tensor(
-    records,
-    *,
-    kappa_max: float = KAPPA_MAX_DEFAULT,
-    g_true: CouplingTensor | None = None,
-) -> EstimationResult:
+def estimate_tensor(records, *, kappa_max: float = KAPPA_MAX_DEFAULT) -> EstimationResult:
     """build_system followed by solve."""
     a, zeta = build_system(records)
-    return solve(a, zeta, kappa_max=kappa_max, g_true=g_true)
+    return solve(a, zeta, kappa_max=kappa_max)
 
 
 def error_stats(g_true: CouplingTensor, g_est: CouplingTensor) -> tuple[float, float]:

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .core import PAULIS, InvalidStateError, ParameterError
-from .design import T_MAX_DEFAULT
+from .design import DENT_THRESHOLD_DEFAULT, GRID_DEFAULT, T_MAX_DEFAULT, grid_times
 from .estimator import EstimationResult, ExperimentRecord, KAPPA_MAX_DEFAULT
 from .protocol import (
     OMEGA_LABELS,
@@ -26,9 +26,6 @@ from .protocol import (
 
 TOOL_VERSION = "0.1.0"
 
-# A curve over this many points peaks near 130 MB; larger grids are refused.
-MAX_GRID_POINTS = 100_000
-
 
 class ConfigError(ValueError):
     """Config or record file is structurally invalid."""
@@ -36,10 +33,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioOptions:
+    """Config options; a config that omits one gets the default here."""
+
     seed: int = 0
     noise: float = 0.0
-    dent_threshold: float = 1e-3
-    grid: tuple[float, float, float] = (1e-3, 0.2, 1e-3)  # start, stop, step
+    dent_threshold: float = DENT_THRESHOLD_DEFAULT
+    grid: tuple[float, float, float] = GRID_DEFAULT  # start, stop, step
     kappa_max: float = KAPPA_MAX_DEFAULT
 
 
@@ -94,15 +93,18 @@ def parse_grid_spec(spec) -> tuple[float, float, float]:
         raise ConfigError(f"grid spec {spec!r} must satisfy 0 < MIN < MAX, STEP > 0")
     if stop > T_MAX_DEFAULT:
         raise ConfigError(f"grid spec {spec!r} has MAX above the {T_MAX_DEFAULT} us bound")
+    try:
+        grid_times((start, stop, step))
+    except ParameterError as exc:
+        raise ConfigError(f"grid spec {spec!r}: {exc}") from exc
     return start, stop, step
 
 
-def grid_times(grid: tuple[float, float, float]) -> np.ndarray:
-    start, stop, step = grid
-    n = np.floor((stop - start) / step + 1e-9) + 1
-    if not n <= MAX_GRID_POINTS:
-        raise ConfigError(f"grid has {n:.3g} points, above the cap of {MAX_GRID_POINTS}")
-    return start + step * np.arange(int(n))
+def _option(key: str, value):
+    """A config option's value, parsed as its ScenarioOptions field."""
+    if key == "grid":
+        return parse_grid_spec(value)
+    return _number(value, f"options.{key}", int if key == "seed" else float)
 
 
 def parse_config(doc: dict) -> ScenarioConfig:
@@ -157,26 +159,26 @@ def parse_config(doc: dict) -> ScenarioConfig:
             raise type(exc)(f"{where}: {exc}") from exc
 
     options_doc = doc.get("options", {})
-    _reject_unknown(
-        options_doc,
-        {"seed", "noise", "dent_threshold", "grid", "kappa_max"},
-        "options",
-    )
-    options = ScenarioOptions(
-        seed=_number(options_doc.get("seed", 0), "options.seed", int),
-        noise=_number(options_doc.get("noise", 0.0), "options.noise"),
-        dent_threshold=_number(options_doc.get("dent_threshold", 1e-3), "options.dent_threshold"),
-        grid=parse_grid_spec(options_doc.get("grid", (1e-3, 0.2, 1e-3))),
-        kappa_max=_number(options_doc.get("kappa_max", KAPPA_MAX_DEFAULT), "options.kappa_max"),
-    )
+    _reject_unknown(options_doc, {f.name for f in fields(ScenarioOptions)}, "options")
+    options = ScenarioOptions(**{key: _option(key, value) for key, value in options_doc.items()})
     return ScenarioConfig(coupling=coupling, runs=tuple(runs), locals_=locals_, options=options)
+
+
+def _load_json(path: str) -> tuple[object, str]:
+    """JSON document and sha256 of a file, both from one read of its bytes."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    return json.loads(text), hashlib.sha256(data).hexdigest()
 
 
 def load_config_file(path: str) -> tuple[ScenarioConfig, str]:
     """Config and sha256 of a config file, both from one read of its bytes."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    return parse_config(json.loads(data.decode("utf-8"))), hashlib.sha256(data).hexdigest()
+    doc, sha256 = _load_json(path)
+    return parse_config(doc), sha256
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -199,13 +201,7 @@ def config_to_doc(config: ScenarioConfig) -> dict:
             }
             for run in config.runs
         ],
-        "options": {
-            "seed": config.options.seed,
-            "noise": config.options.noise,
-            "dent_threshold": config.options.dent_threshold,
-            "grid": list(config.options.grid),
-            "kappa_max": config.options.kappa_max,
-        },
+        "options": asdict(config.options),
     }
 
 
@@ -282,12 +278,10 @@ def load_records_file(path: str) -> tuple[list[ExperimentRecord], dict, str]:
     All three come from one read, so the digest describes the bytes that
     were parsed.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    doc = json.loads(data.decode("utf-8"))
+    doc, sha256 = _load_json(path)
     records = parse_records(doc)
     meta = doc.get("meta", {})
-    return records, meta if isinstance(meta, dict) else {}, hashlib.sha256(data).hexdigest()
+    return records, meta if isinstance(meta, dict) else {}, sha256
 
 
 def load_records(path: str) -> list[ExperimentRecord]:
@@ -309,7 +303,9 @@ def report_doc(
     *,
     per_record_residuals,
     provenance: dict,
+    error_stats: tuple[float, float] | None = None,
 ) -> dict:
+    """Estimate report; error_stats (mean, std in MHz) when a true tensor is known."""
     doc = {
         "coupling_mhz": dict(zip(OMEGA_LABELS, result.g_est.values.tolist())),
         "matrix_mhz": result.g_est.matrix.tolist(),
@@ -318,9 +314,8 @@ def report_doc(
         "per_record_residuals": list(per_record_residuals),
         "provenance": provenance,
     }
-    if result.error_stats is not None:
-        doc["error_mean_mhz"] = result.error_stats[0]
-        doc["error_std_mhz"] = result.error_stats[1]
+    if error_stats is not None:
+        doc["error_mean_mhz"], doc["error_std_mhz"] = error_stats
     return doc
 
 

@@ -41,7 +41,6 @@ from .core import (
     DimensionMismatchError,
     InvalidStateError,
     ParameterError,
-    herm_exp,
     is_hermitian,
     pauli_dot,
     tensor_product,
@@ -68,6 +67,15 @@ def _as_vec3(v, name: str) -> np.ndarray:
         raise InvalidStateError(f"{name} has non-finite components")
     v = v.copy()
     v.flags.writeable = False
+    return v
+
+
+def _as_bloch(v, name: str) -> np.ndarray:
+    """_as_vec3 of a state's Bloch vector: its norm must not exceed 1."""
+    v = _as_vec3(v, name)
+    norm = np.sqrt(v @ v)  # what np.linalg.norm computes, without its overhead
+    if norm > 1.0 + BLOCH_NORM_ATOL:
+        raise InvalidStateError(f"{name} norm {norm} exceeds 1")
     return v
 
 
@@ -169,14 +177,10 @@ class ProtocolRun:
     dt: float
 
     def __post_init__(self):
-        object.__setattr__(self, "r_i", _as_vec3(self.r_i, "r_i"))
-        object.__setattr__(self, "p", _as_vec3(self.p, "p"))
+        object.__setattr__(self, "r_i", _as_bloch(self.r_i, "r_i"))
+        object.__setattr__(self, "p", _as_bloch(self.p, "p"))
         object.__setattr__(self, "q_tilde", _as_vec3(self.q_tilde, "q_tilde"))
         object.__setattr__(self, "dt", float(self.dt))
-        for name in ("r_i", "p"):
-            norm = np.linalg.norm(getattr(self, name))
-            if norm > 1.0 + BLOCH_NORM_ATOL:
-                raise InvalidStateError(f"{name} norm {norm} exceeds 1")
         q_norm = np.linalg.norm(self.q_tilde)
         if abs(q_norm - 1.0) > BLOCH_NORM_ATOL:
             raise InvalidStateError(f"q_tilde norm {q_norm} is not 1")
@@ -216,22 +220,6 @@ def total_hamiltonian(g: CouplingTensor, locals_: LocalHamiltonians | None = Non
         h = h + tensor_product(locals_.h_target, IDENTITY_2)
         h = h + tensor_product(IDENTITY_2, locals_.h_probe)
     return h
-
-
-def evolve_pair(
-    phi1: np.ndarray,
-    g: CouplingTensor,
-    locals_: LocalHamiltonians | None,
-    dt: float,
-) -> np.ndarray:
-    """Exact conjugation Phi2 = U Phi1 U^dag with U = exp(-i H_tot dt)."""
-    phi1 = np.asarray(phi1, dtype=complex)
-    if phi1.shape != (4, 4):
-        raise DimensionMismatchError(f"expected 4x4 state, got shape {phi1.shape}")
-    if not dt > 0.0:
-        raise ParameterError(f"dt must be positive, got {dt}")
-    u = herm_exp(total_hamiltonian(g, locals_), dt)
-    return u @ phi1 @ u.conj().T
 
 
 # H_tot spectra, rebuilt from the key's bytes alone so the key fixes the
@@ -450,14 +438,3 @@ def first_order_series(r_i, r_f, p, q, times, g: CouplingTensor) -> np.ndarray:
         term2 = (q @ n - pn * qp) * cross_if[..., mu]
         total = total + 2.0 * times * (term1 + term2) / denom
     return total if stacked else total[0]
-
-
-def predict_final_bloch(r_i, p, g: CouplingTensor, dt: float) -> np.ndarray:
-    """First-order prediction of the post-selected target vector.
-
-    r_f ~ r_i + 2 dt (g p) x r_i; used to predict design matrices when
-    only a rough prior for the coupling is available.
-    """
-    r_i = _as_vec3(r_i, "r_i")
-    p = _as_vec3(p, "p")
-    return r_i + 2.0 * dt * np.cross(g.matrix @ p, r_i)

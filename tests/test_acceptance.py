@@ -30,10 +30,10 @@ from weakspin import (
     ProtocolRun,
     build_row,
     correction_curve,
-    default_time_grid,
     estimate_tensor,
     find_dents,
     first_order_expectation,
+    grid_times,
     herm_exp,
     partial_trace,
     record_from_run,
@@ -98,7 +98,7 @@ def test_criterion_1_nv_reproduction():
     # statistics must shrink strictly over those halvings and reach the
     # 1%-of-tensor level at some scale of the wider sweep.
     g = nv.nv_coupling()
-    fine = default_time_grid(stop=HORIZON_GRID_STOP, step=HORIZON_GRID_STEP)
+    fine = grid_times((HORIZON_GRID_STEP, HORIZON_GRID_STOP, HORIZON_GRID_STEP))
     runs = nv.nv_runs()
     horizons = []
     for run in runs:
@@ -156,7 +156,7 @@ def test_criterion_2_dent_positions():
     """Library dents agree with an oracle; published times are compared to them."""
     t0 = time.perf_counter()
     g = nv.nv_coupling()
-    grid = default_time_grid()  # 1e-3 steps over (0, 0.2]
+    grid = grid_times()  # 1e-3 steps over (0, 0.2]
     published_matches = []
     failures = []
     for row, (run, (_, _, _, dt_listed)) in enumerate(
@@ -281,7 +281,7 @@ def test_criterion_5_exact_dynamics_round_trip():
     """Auto-designed runs recover random tensors from exact dynamics."""
     t0 = time.time()
     rng = np.random.default_rng(1618)
-    grid = default_time_grid(stop=0.08, step=2e-4)
+    grid = grid_times((2e-4, 0.08, 2e-4))
     rel_errors, ratios = [], []
     for trial in range(25):
         g = random_coupling(rng, max_abs=10.0)

@@ -6,9 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from weakspin import CouplingTensor, first_order_expectation
+from weakspin import CouplingTensor, first_order_expectation, sample_designs
 from weakspin.cli import main
 from weakspin.fileio import dump_json, load_records
+from weakspin.protocol import OMEGA_LABELS
 
 from _helpers import random_unit
 
@@ -258,6 +259,65 @@ def test_nan_record_expectation_is_invalid_data(nv_config, tmp_path, capsys):
     bad.write_text(dump_json(doc), encoding="utf-8")
     assert main(["estimate", "--records", str(bad), "--out", "-"]) == 3
     assert "records[2]: expectation nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["r_i", "p"])
+def test_record_state_outside_bloch_ball_is_invalid_data(nv_config, tmp_path, capsys, key):
+    records = tmp_path / "records.json"
+    main(["simulate", "--config", nv_config, "--out", str(records)])
+    doc = json.loads(records.read_text())
+    doc["records"][2][key] = [0.0, 0.0, 5.0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(dump_json(doc), encoding="utf-8")
+    assert main(["estimate", "--records", str(bad), "--out", "-"]) == 3
+    assert f"records[2]: {key} norm 5.0 exceeds 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--config", "BAD"],
+        ["estimate", "--records", "BAD"],
+        ["curve", "--config", "BAD", "--run-index", "0"],
+        ["design", "--config", "BAD", "--count", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_non_utf8_input_is_parse_error(tmp_path, argv):
+    # a UTF-16 file starts with bytes ff fe, which are not UTF-8
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes("{}".encode("utf-16"))
+    argv = [str(bad) if arg == "BAD" else arg for arg in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "weakspin.cli", *argv, "--out", "-"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "not UTF-8" in proc.stderr
+
+
+def test_design_without_grid_or_threshold_uses_library_defaults(tmp_path):
+    # a weak prior puts the chosen times well inside the default grid, where
+    # a grid built another way would differ from the library's in the last bits
+    doc = _normalized_doc(NV_DOC)
+    doc["coupling_mhz"] = {k: v / 10.0 for k, v in doc["coupling_mhz"].items()}
+    config = _write(tmp_path, "weak.json", doc)
+    out = tmp_path / "designs.json"
+    argv = ["design", "--config", config, "--count", "5", "--seed", "2", "--out", str(out)]
+    assert main(argv) == 0
+    cli_candidates = json.loads(out.read_text())["candidates"]
+    g = CouplingTensor(np.array([doc["coupling_mhz"][k] for k in OMEGA_LABELS]))
+    lib_candidates = sample_designs(2, g, 5)
+    assert len(cli_candidates) == len(lib_candidates)
+    for doc, cand in zip(cli_candidates, lib_candidates):
+        assert doc["condition_number"] == cand.condition_number
+        assert doc["max_correction"] == cand.max_correction
+        for run_doc, run in zip(doc["runs"], cand.runs, strict=True):
+            assert run_doc["dt"] == run.dt
+            for key, v in (("r_i", run.r_i), ("p", run.p), ("q", run.q_tilde)):
+                assert run_doc[key] == v.tolist()
 
 
 def test_curve_index_out_of_range(nv_config):

@@ -7,9 +7,7 @@ from weakspin import (
     SIGMA_Y,
     SIGMA_Z,
     bloch_to_density,
-    check_density_matrix,
     density_to_bloch,
-    expectation,
     herm_exp,
     partial_trace,
     pauli_dot,
@@ -202,57 +200,10 @@ def test_evolution_preserves_spectrum_trace_hermiticity():
     )
 
 
-def test_expectation_maximally_mixed():
-    assert expectation(IDENTITY_2 / 2.0, SIGMA_Z) == pytest.approx(0.0, abs=1e-12)
-
-
 def test_expectation_bloch_inner_product():
     rng = np.random.default_rng(10)
     for _ in range(20):
         p = random_bloch(rng)
         q = random_unit(rng)
-        val = expectation(bloch_to_density(p), pauli_dot(q))
+        val = np.trace(pauli_dot(q) @ bloch_to_density(p))
         assert val == pytest.approx(float(q @ p), abs=1e-12)
-
-
-def test_expectation_matches_elementwise_trace():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        rho = random_density(rng, 4)
-        obs = random_hermitian(rng, 4)
-        direct = sum(
-            obs[i, j] * rho[j, i] for i in range(4) for j in range(4)
-        )
-        assert abs(direct.imag) < 1e-12
-        assert expectation(rho, obs) == pytest.approx(direct.real, abs=1e-12)
-
-
-def test_expectation_within_spectral_bounds():
-    rng = np.random.default_rng(12)
-    for _ in range(50):
-        rho = random_density(rng, 2)
-        obs = random_hermitian(rng, 2)
-        lo, hi = np.linalg.eigvalsh(obs)[[0, -1]]
-        val = expectation(rho, obs)
-        assert lo - 1e-12 <= val <= hi + 1e-12
-
-
-def test_expectation_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        expectation(np.eye(2) / 2.0, np.eye(4))
-
-
-def test_check_density_matrix_accepts_valid():
-    rng = np.random.default_rng(13)
-    rho = random_density(rng, 4)
-    assert check_density_matrix(rho) is not None
-
-
-def test_check_density_matrix_rejects_bad_trace():
-    with pytest.raises(InvalidStateError):
-        check_density_matrix(np.eye(2))
-
-
-def test_check_density_matrix_rejects_negative():
-    with pytest.raises(InvalidStateError):
-        check_density_matrix(np.diag([1.5, -0.5]))

@@ -6,8 +6,8 @@ from weakspin import (
     LocalHamiltonians,
     ProtocolRun,
     correction_curve,
-    default_time_grid,
     find_dents,
+    grid_times,
     record_from_run,
     run_protocol,
     run_protocol_series,
@@ -22,7 +22,7 @@ from weakspin.design import (
     assign_time,
     predicted_design_matrix,
 )
-from weakspin.estimator import build_row
+from weakspin.estimator import build_row, build_rows
 from weakspin.protocol import first_order_series
 from weakspin.nv import nv_coupling, nv_runs
 
@@ -45,8 +45,8 @@ def _fixture_curve(values, times=None, valid=None):
     )
 
 
-def test_default_time_grid():
-    grid = default_time_grid()
+def test_default_grid():
+    grid = grid_times()
     assert grid[0] > 0.0
     assert grid[-1] == pytest.approx(0.2)
     assert np.allclose(np.diff(grid), 1e-3)
@@ -174,7 +174,7 @@ def test_assign_time_prefers_horizon_then_dent():
 
 def test_sample_designs_deterministic():
     g = nv_coupling()
-    times = default_time_grid(stop=0.1, step=2e-3)
+    times = grid_times((2e-3, 0.1, 2e-3))
     a = sample_designs(7, g, 3, times=times)
     b = sample_designs(7, g, 3, times=times)
     for ca, cb in zip(a, b):
@@ -187,7 +187,7 @@ def test_sample_designs_deterministic():
 
 def test_sample_designs_sorted_by_conditioning():
     g = nv_coupling()
-    times = default_time_grid(stop=0.1, step=2e-3)
+    times = grid_times((2e-3, 0.1, 2e-3))
     candidates = sample_designs(11, g, 8, times=times)
     conds = [c.condition_number for c in candidates]
     assert conds == sorted(conds)
@@ -196,7 +196,7 @@ def test_sample_designs_sorted_by_conditioning():
 
 def test_sample_designs_candidate_runtime_validity():
     g = nv_coupling()
-    times = default_time_grid(stop=0.1, step=2e-3)
+    times = grid_times((2e-3, 0.1, 2e-3))
     best = sample_designs(13, g, 4, times=times)[0]
     assert len(best.runs) == 6
     assert np.isfinite(best.condition_number)
@@ -212,7 +212,7 @@ def test_sample_designs_scores_match_single_run_functions(fields):
     # must equal, bit for bit, what the one-run public functions give
     g = nv_coupling()
     locals_ = fields and LocalHamiltonians.from_fields(*fields)
-    times = default_time_grid(stop=0.15, step=1e-3)
+    times = grid_times((1e-3, 0.15, 1e-3))
     for cand in sample_designs(17, g, 12, times=times, locals_=locals_):
         a = predicted_design_matrix(cand.runs, g, locals_)
         assert cand.condition_number == np.linalg.cond(a)
@@ -231,7 +231,7 @@ def test_stacked_curves_with_invalid_points_match_single_curves():
     r_i = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [0.0, 0.6, 0.8]])
     p = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     q = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    times = default_time_grid(stop=0.2, step=2e-5)
+    times = grid_times((2e-5, 0.2, 2e-5))
     curves, _, _ = _curves(r_i, p, q, g, None, times)
     assert not curves[0].valid.all() and not curves[2].valid.all()
     assert curves[1].valid.all()
@@ -259,7 +259,7 @@ def test_rank_deficient_candidate_scores_infinite():
 def test_predicted_design_matrix_exact_matches_simulation():
     g = nv_coupling()
     runs = nv_runs()
-    a = predicted_design_matrix(runs, g, exact=True)
+    a = predicted_design_matrix(runs, g)
     rows = []
     for run in runs:
         outcome = run_protocol(run, g, LocalHamiltonians.zero())
@@ -268,12 +268,15 @@ def test_predicted_design_matrix_exact_matches_simulation():
 
 
 def test_predicted_design_matrix_first_order_agrees_at_small_dt():
+    # to first order in dt the target precesses about the probe's field:
+    # r_f ~ r_i + 2 dt (g p) x r_i, with the axis q unchanged
     g = nv_coupling()
     runs = [
         ProtocolRun(r_i=r.r_i, p=r.p, q_tilde=r.q_tilde, dt=1e-4) for r in nv_runs()
     ]
-    exact = predicted_design_matrix(runs, g, exact=True)
-    approx = predicted_design_matrix(runs, g, exact=False)
+    exact = predicted_design_matrix(runs, g)
+    r_i, p, q = (np.array([getattr(r, k) for r in runs]) for k in ("r_i", "p", "q_tilde"))
+    approx = build_rows(r_i, r_i + 2e-4 * np.cross(p @ g.matrix, r_i), p, q)
     assert np.max(np.abs(exact - approx)) < 1e-2
 
 
@@ -282,7 +285,7 @@ def test_first_bundled_time_sits_in_a_neighborhood_dip():
     # neighborhood maximum of its model-error curve
     run = nv_runs()[0]
     curve = correction_curve(
-        run.r_i, run.p, run.q_tilde, nv_coupling(), times=default_time_grid()
+        run.r_i, run.p, run.q_tilde, nv_coupling(), times=grid_times()
     )
     at_listed = curve.values[np.abs(curve.times - 0.091) < 1e-9][0]
     hood = (curve.times >= 0.081) & (curve.times <= 0.101)
@@ -293,8 +296,8 @@ def test_sample_designs_conditioning_near_reference_design():
     # best-of-N random candidates should not be far behind the bundled
     # hand-picked design in conditioning
     g = nv_coupling()
-    reference = predicted_design_matrix(nv_runs(), g, exact=True)
+    reference = predicted_design_matrix(nv_runs(), g)
     kappa_ref = np.linalg.cond(reference)
-    times = default_time_grid(stop=0.1, step=1e-3)
+    times = grid_times((1e-3, 0.1, 1e-3))
     best = sample_designs(5, g, 60, times=times)[0]
     assert best.condition_number <= 10.0 * kappa_ref

@@ -15,12 +15,14 @@ from weakspin import (
     run_protocol,
     solve,
 )
+from weakspin.core import InvalidStateError
 from weakspin.estimator import (
     IllConditionedDesignError,
     InsufficientDataError,
     InvalidRecordError,
     simulate_records,
 )
+from weakspin.fileio import report_doc
 from weakspin.nv import NV_REFERENCE_ESTIMATE_MHZ, nv_coupling, nv_runs
 from weakspin.protocol import OMEGA
 
@@ -63,6 +65,21 @@ def test_record_validation():
             r_i=(0, 0, 1), r_f=(0, 0, 1), p=(0, 0, 1), q=(1, 0, 0),
             dt=0.1, expectation=float("nan"),
         )
+    with pytest.raises(InvalidStateError, match="r_i norm"):
+        ExperimentRecord(
+            r_i=(0, 0, 1.0 + 1e-9), r_f=(0, 0, 1), p=(0, 0, 1), q=(1, 0, 0),
+            dt=0.1, expectation=0.0,
+        )
+    with pytest.raises(InvalidStateError, match="p norm"):
+        ExperimentRecord(
+            r_i=(0, 0, 1), r_f=(0, 0, 1), p=(0, 0, 1.0 + 1e-9), q=(1, 0, 0),
+            dt=0.1, expectation=0.0,
+        )
+    # a measured r_f is not held to the ball: simulated noise can push it out
+    ExperimentRecord(
+        r_i=(0, 0, 1), r_f=(0, 0, 1.0 + 1e-6), p=(0, 0, 1), q=(1, 0, 0),
+        dt=0.1, expectation=0.0,
+    )
 
 
 def test_build_system_equals_record_by_record_assembly():
@@ -265,13 +282,17 @@ def test_error_stats_of_published_reference():
 
 
 def test_estimate_attaches_error_stats():
+    # the estimate's report carries the error statistics against a known tensor
     rng = np.random.default_rng(48)
     g = random_coupling(rng)
     records = [_random_record(rng, g=g) for _ in range(8)]
-    result = estimate_tensor(records, g_true=g)
-    assert result.error_stats is not None
-    assert abs(result.error_stats[0]) < 1e-9
-    assert result.error_stats[1] < 1e-9
+    result = estimate_tensor(records)
+    doc = report_doc(
+        result, per_record_residuals=[], provenance={}, error_stats=error_stats(g, result.g_est)
+    )
+    assert abs(doc["error_mean_mhz"]) < 1e-9
+    assert doc["error_std_mhz"] < 1e-9
+    assert "error_mean_mhz" not in report_doc(result, per_record_residuals=[], provenance={})
 
 
 def test_omega_ordering_matches_symmetric_packing():

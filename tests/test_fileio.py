@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from weakspin import CouplingTensor, ExperimentRecord, LocalHamiltonians, ProtocolRun
+from weakspin.design import DENT_THRESHOLD_DEFAULT, GRID_DEFAULT, grid_times
+from weakspin.estimator import KAPPA_MAX_DEFAULT
 from weakspin.fileio import (
     ConfigError,
     ScenarioConfig,
@@ -11,7 +13,6 @@ from weakspin.fileio import (
     config_to_doc,
     curve_csv_lines,
     dump_json,
-    grid_times,
     load_config,
     load_records,
     parse_config,
@@ -92,6 +93,17 @@ def test_parse_grid_spec_errors():
     for bad in ("0.2:0.1:0.01", "a:b:c", "1:2", "0:0.1:0.01", "0.01:0.1:-1"):
         with pytest.raises(ConfigError):
             parse_grid_spec(bad)
+
+
+def test_config_without_options_gets_default_options():
+    doc = {
+        "coupling_mhz": dict.fromkeys(("xx", "yy", "zz", "xy", "xz", "yz"), 1.0),
+        "runs": [{"r_i": [0, 0, 1], "p": [1, 0, 0], "q": [0, 1, 0], "dt": 0.05}],
+    }
+    assert parse_config(doc).options == ScenarioOptions()
+    assert ScenarioOptions().grid == GRID_DEFAULT
+    assert ScenarioOptions().dent_threshold == DENT_THRESHOLD_DEFAULT
+    assert ScenarioOptions().kappa_max == KAPPA_MAX_DEFAULT
 
 
 def test_grid_times_covers_range():

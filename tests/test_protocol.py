@@ -6,9 +6,7 @@ from weakspin import (
     LocalHamiltonians,
     ProtocolRun,
     build_interaction,
-    evolve_pair,
     first_order_expectation,
-    predict_final_bloch,
     run_protocol,
     run_protocol_series,
     tensor_product,
@@ -111,44 +109,6 @@ def test_total_hamiltonian_adds_locals():
         np.eye(2), locals_.h_probe
     )
     assert np.allclose(h, expected, atol=1e-12)
-
-
-def test_evolve_pair_identity_without_generator():
-    rng = np.random.default_rng(21)
-    rho = np.kron(bloch_to_density(random_bloch(rng)), bloch_to_density(random_bloch(rng)))
-    evolved = evolve_pair(rho, CouplingTensor.zero(), None, 0.3)
-    assert np.allclose(evolved, rho, atol=1e-12)
-
-
-def test_evolve_pair_short_time_continuity():
-    g = nv_coupling()
-    rho = np.kron(bloch_to_density((0, 0, 1)), bloch_to_density((1, 0, 0)))
-    d1 = np.max(np.abs(evolve_pair(rho, g, None, 1e-4) - rho))
-    d2 = np.max(np.abs(evolve_pair(rho, g, None, 5e-5) - rho))
-    assert d1 / d2 == pytest.approx(2.0, rel=0.05)
-
-
-def test_evolve_pair_preserves_purity():
-    rng = np.random.default_rng(22)
-    g = random_coupling(rng)
-    rho = np.kron(bloch_to_density(random_unit(rng)), bloch_to_density(random_unit(rng)))
-    evolved = evolve_pair(rho, g, None, 0.17)
-    assert np.trace(evolved @ evolved).real == pytest.approx(1.0, abs=1e-10)
-
-
-def test_evolve_pair_rejects_nonpositive_dt():
-    with pytest.raises(ParameterError):
-        evolve_pair(np.eye(4) / 4.0, CouplingTensor.zero(), None, -0.1)
-
-
-def test_evolve_pair_matches_series_oracle():
-    # first bundled parameter set, exact vs truncated-series propagator
-    run = nv_runs()[0]
-    g = nv_coupling()
-    phi1 = np.kron(bloch_to_density(run.r_i), bloch_to_density(run.p))
-    u = expm_series(total_hamiltonian(g, None), run.dt)
-    expected = u @ phi1 @ u.conj().T
-    assert np.allclose(evolve_pair(phi1, g, None, run.dt), expected, atol=1e-10)
 
 
 def test_run_protocol_no_interaction_is_identity_on_bloch_data():
@@ -478,17 +438,6 @@ def test_first_order_orthogonality_guard():
         first_order_expectation(
             (0, 0, 1), (0, 0, -1), (1, 0, 0), (1, 0, 0), 0.05, CouplingTensor.zero()
         )
-
-
-def test_predict_final_bloch_first_order_accuracy():
-    rng = np.random.default_rng(32)
-    g = random_coupling(rng, max_abs=5.0)
-    r_i, p, q = random_unit(rng), random_unit(rng), random_unit(rng)
-    errs = []
-    for dt in (0.004, 0.002):
-        out = run_protocol(ProtocolRun(r_i=r_i, p=p, q_tilde=q, dt=dt), g)
-        errs.append(np.linalg.norm(out.r_f - predict_final_bloch(r_i, p, g, dt)))
-    assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.25)
 
 
 def test_outcome_invariants_hold_for_random_runs():
