@@ -273,10 +273,15 @@ def cmd_reproduce_nv(args) -> int:
     return EXIT_CHECK_FAILED
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once per process: parsing does not change it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on bad flags, which matches the parse-error code
         return int(exc.code) if exc.code else EXIT_OK

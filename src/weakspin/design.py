@@ -26,7 +26,7 @@ from .protocol import (
     CouplingTensor,
     LocalHamiltonians,
     ProtocolRun,
-    first_order_series,
+    _first_order,
     run_protocol_series,
 )
 
@@ -35,7 +35,7 @@ DENT_THRESHOLD_DEFAULT = 1e-3
 DT_MIN_DEFAULT = 0.02
 GRID_DEFAULT = (1e-3, 0.2, 1e-3)  # start, stop, step in us
 
-# A curve over this many points peaks near 130 MB; larger grids are refused.
+# A curve over this many points peaks near 70 MB; larger grids are refused.
 MAX_GRID_POINTS = 100_000
 
 
@@ -89,32 +89,27 @@ def _check_grid(times: np.ndarray, t_max: float) -> np.ndarray:
     return times
 
 
-def _curves(r_i, p, q_tilde, g, locals_, times):
-    """Correction curves of N stacked runs from one engine call.
+def _model_errors(r_i, p, q_tilde, g, locals_, times):
+    """Delta[N,T] of N stacked runs from one engine call and one model pass.
 
-    Returns the curves and the corrected r_f[N,T,3] and q[N,T,3] they
-    were computed from, so a design reads its rows off them.
+    Returns Delta (NaN where the post-selection came too close to
+    orthogonal), the mask of valid points, and the corrected r_f[N,T,3]
+    and q[N,T,3] it was computed from, so a design reads its rows off them.
     """
     r_f, q, exact = run_protocol_series(r_i, p, q_tilde, g, locals_, times)
-    r_i, p, q_tilde = (np.asarray(v, dtype=float) for v in (r_i, p, q_tilde))
-    denom = 1.0 + np.matmul(r_f, r_i[:, :, None])[..., 0]
+    # without a probe field the axis is q_tilde at every time
+    axis = q[:, :1] if locals_ is None or not np.any(locals_.h_probe) else q
+    model, denom = _first_order(r_i, r_f, p, axis, times, g)
     valid = denom >= EPS_ORTH
-    values = np.full(valid.shape, np.nan)
-    # The model reads C-contiguous copies, and a run with invalid points
-    # only those points, as one-run calls did: the last bits of a
-    # matrix-vector product depend on its operands' layout and row count.
-    r_f, q = np.ascontiguousarray(r_f), np.ascontiguousarray(q)
-    whole = valid.all(axis=1)
-    if whole.any():
-        values[whole] = np.abs(
-            exact[whole]
-            - first_order_series(r_i[whole], r_f[whole], p[whole], q[whole], times, g)
-        )
-    for k in np.flatnonzero(~whole & valid.any(axis=1)):
-        ok = valid[k]
-        values[k, ok] = np.abs(
-            exact[k, ok] - first_order_series(r_i[k], r_f[k, ok], p[k], q[k, ok], times[ok], g)
-        )
+    delta = np.abs(np.subtract(exact, model, out=model), out=model)
+    delta[~valid] = np.nan
+    return delta, valid, r_f, q
+
+
+def _curves(r_i, p, q_tilde, g, locals_, times):
+    """Correction curves of N stacked runs, with the r_f and q of _model_errors."""
+    values, valid, r_f, q = _model_errors(r_i, p, q_tilde, g, locals_, times)
+    r_i, p, q_tilde = (np.asarray(v, dtype=float) for v in (r_i, p, q_tilde))
     curves = [
         CorrectionCurve(
             r_i=r_i[k], p=p[k], q_tilde=q_tilde[k], times=times, values=values[k], valid=valid[k]
@@ -145,6 +140,17 @@ def correction_curve(
     return _curves(*stack, g, locals_, times)[0][0]
 
 
+def _dent_mask(times, values, valid, threshold, dt_min):
+    """Points of (..., T) curves that are dents: see find_dents."""
+    v, ok = values[..., 1:-1], valid[..., :-2] & valid[..., 1:-1] & valid[..., 2:]
+    with np.errstate(invalid="ignore"):  # NaN at invalid points compares False
+        inner = ok & (times[1:-1] >= dt_min) & (v < threshold)
+        inner &= (v < values[..., :-2]) & (v < values[..., 2:])
+    mask = np.zeros(values.shape, dtype=bool)
+    mask[..., 1:-1] = inner
+    return mask
+
+
 def find_dents(
     curve: CorrectionCurve,
     threshold: float = DENT_THRESHOLD_DEFAULT,
@@ -155,17 +161,18 @@ def find_dents(
 
     Local minima are grid points strictly below both neighbors; the
     region below dt_min is excluded so selected times carry measurable
-    signal.  Returns an empty list when nothing qualifies.
+    signal.  Ties in Delta go to the earlier time.  Returns an empty
+    list when nothing qualifies.
     """
-    t, v, ok = curve.times, curve.values, curve.valid
-    hits: list[tuple[float, float]] = []
-    for i in range(1, len(t) - 1):
-        if not (ok[i - 1] and ok[i] and ok[i + 1]):
-            continue
-        if t[i] >= dt_min and v[i] < threshold and v[i] < v[i - 1] and v[i] < v[i + 1]:
-            hits.append((v[i], t[i]))
-    hits.sort()
-    return [time for _, time in hits]
+    hits = np.flatnonzero(_dent_mask(curve.times, curve.values, curve.valid, threshold, dt_min))
+    order = np.lexsort((curve.times[hits], curve.values[hits]))
+    return curve.times[hits[order]].tolist()
+
+
+def _horizon_index(values, valid, threshold):
+    """Per (..., T) curve, the last index of its sub-threshold prefix; -1 if there is none."""
+    below = (values <= threshold) & valid
+    return np.where(below.all(axis=-1), below.shape[-1], np.argmin(below, axis=-1)) - 1
 
 
 def weak_horizon(curve: CorrectionCurve, threshold: float) -> float | None:
@@ -176,20 +183,23 @@ def weak_horizon(curve: CorrectionCurve, threshold: float) -> float | None:
     keeps the design in the quadratic regime.  Returns None when even
     the first grid point is above threshold.
     """
-    below = (curve.values <= threshold) & curve.valid
-    if not below[0]:
-        return None
-    above = np.nonzero(~below)[0]
-    idx = (above[0] - 1) if above.size else (len(curve.times) - 1)
-    return float(curve.times[idx])
+    idx = _horizon_index(curve.values, curve.valid, threshold)
+    return None if idx < 0 else float(curve.times[idx])
 
 
-def _index_at(curve: CorrectionCurve, time: float) -> int:
-    return int(np.argmin(np.abs(curve.times - time)))
+def _time_indices(times, values, valid, threshold, dt_min):
+    """Grid index that assign_time's rule picks on each row of (N, T) curves."""
+    horizon = _horizon_index(values, valid, threshold)
+    dents = _dent_mask(times, values, valid, threshold, dt_min)
+    best_dent = np.argmin(np.where(dents, values, np.inf), axis=-1)
+    late = (times >= dt_min) & valid
+    pool = np.where(late.any(axis=-1, keepdims=True), late, valid)
+    least = np.argmin(np.where(pool, values, np.inf), axis=-1)
+    return np.where(horizon >= 0, horizon, np.where(dents.any(axis=-1), best_dent, least))
 
 
 def _delta_at(curve: CorrectionCurve, time: float) -> float:
-    return float(curve.values[_index_at(curve, time)])
+    return float(curve.values[np.argmin(np.abs(curve.times - time))])
 
 
 def assign_time(
@@ -205,16 +215,7 @@ def assign_time(
     then the best dent, then the global minimum of Delta beyond dt_min.
     Returns (time, Delta at that time).
     """
-    horizon = weak_horizon(curve, threshold)
-    if horizon is not None:
-        return horizon, _delta_at(curve, horizon)
-    dents = find_dents(curve, threshold, dt_min=dt_min)
-    if dents:
-        return dents[0], _delta_at(curve, dents[0])
-    sel = np.nonzero((curve.times >= dt_min) & curve.valid)[0]
-    if sel.size == 0:
-        sel = np.nonzero(curve.valid)[0]
-    idx = sel[int(np.argmin(curve.values[sel]))]
+    idx = _time_indices(curve.times, curve.values[None], curve.valid[None], threshold, dt_min)[0]
     return float(curve.times[idx]), float(curve.values[idx])
 
 
@@ -254,11 +255,11 @@ def sample_designs(
 
     Each candidate holds n_runs (r_i, p, q_tilde) triples drawn uniform
     on the sphere, with interaction times assigned per run from the
-    correction curve under the prior tensor (see assign_time).  A
-    candidate's curves come from one stacked engine call, and its
-    predicted design matrix is read off them at the assigned times, row
-    for row what predicted_design_matrix gives.  The returned list is
-    sorted by condition number of that matrix, so rank-deficient
+    correction curve under the prior tensor (see assign_time).  The
+    curves of all candidates' runs come from one stacked engine call,
+    and each predicted design matrix is read off them at the assigned
+    times, row for row what predicted_design_matrix gives.  The returned
+    list is sorted by condition number of that matrix, so rank-deficient
     candidates (condition number infinite) sort last.  Deterministic for
     a fixed seed.
     """
@@ -266,24 +267,24 @@ def sample_designs(
         raise ParameterError(f"need at least one candidate, got {n}")
     rng = np.random.default_rng(seed)
     grid = _check_grid(grid_times() if times is None else times, T_MAX_DEFAULT)
-    out: list[DesignCandidate] = []
-    for _ in range(n):
-        draws = sample_unit_vectors(rng, 3 * n_runs)
-        r_i, p, q = draws[0::3], draws[1::3], draws[2::3]
-        curves, r_f_grid, q_grid = _curves(r_i, p, q, g_prior, locals_, grid)
-        chosen = [assign_time(curve, threshold, dt_min=dt_min) for curve in curves]
-        runs = tuple(
-            ProtocolRun(r_i=r_i[k], p=p[k], q_tilde=q[k], dt=dt)
-            for k, (dt, _) in enumerate(chosen)
+    draws = np.concatenate([sample_unit_vectors(rng, 3 * n_runs) for _ in range(n)])
+    r_i, p, q = draws[0::3], draws[1::3], draws[2::3]
+    values, valid, r_f_grid, q_grid = _model_errors(r_i, p, q, g_prior, locals_, grid)
+    at = (np.arange(len(r_i)), _time_indices(grid, values, valid, threshold, dt_min))
+    deltas = values[at].reshape(n, n_runs)
+    a = build_rows(r_i, r_f_grid[at], p, q_grid[at]).reshape(n, n_runs, 6)
+    conditions = np.linalg.cond(a)
+    dts = grid[at[1]].reshape(n, n_runs)
+    out = [
+        DesignCandidate(
+            runs=tuple(
+                ProtocolRun(r_i=r_i[k], p=p[k], q_tilde=q[k], dt=dt)
+                for k, dt in enumerate(dts[c], start=c * n_runs)
+            ),
+            max_correction=float(np.max(deltas[c], initial=0.0)),
+            condition_number=float(conditions[c]),
         )
-        at = (np.arange(n_runs), [_index_at(c, dt) for c, (dt, _) in zip(curves, chosen)])
-        a = build_rows(r_i, r_f_grid[at], p, q_grid[at])
-        out.append(
-            DesignCandidate(
-                runs=runs,
-                max_correction=max([0.0] + [delta for _, delta in chosen]),
-                condition_number=float(np.linalg.cond(a)),
-            )
-        )
+        for c in range(n)
+    ]
     out.sort(key=lambda c: (not np.isfinite(c.condition_number), c.condition_number))
     return out

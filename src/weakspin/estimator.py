@@ -35,6 +35,7 @@ from .protocol import (
     RunOutcome,
     _as_bloch,
     _as_vec3,
+    _dot3,
     run_protocol_series,
 )
 
@@ -147,8 +148,7 @@ def simulate_records(
 def build_rows(r_i, r_f, p, q) -> np.ndarray:
     """Sensitivity rows of K records, from (K, 3) stacks of their vectors."""
     c = np.cross(p, q)[:, :, None] * (r_i + r_f)[:, None, :]
-    qp = np.matmul(q[:, None, :], p[:, :, None])[:, 0]
-    c += (q - p * qp)[:, :, None] * np.cross(r_i, r_f)[:, None, :]
+    c += (q - p * _dot3(q, p)[:, None])[:, :, None] * np.cross(r_i, r_f)[:, None, :]
     a, b = np.transpose(OMEGA)
     # C order, as row-by-row assembly gave: a product with the matrix
     # sums in an order set by its layout

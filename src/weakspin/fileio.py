@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .core import PAULIS, InvalidStateError, ParameterError
+from .core import InvalidStateError, ParameterError
 from .design import DENT_THRESHOLD_DEFAULT, GRID_DEFAULT, T_MAX_DEFAULT, grid_times
 from .estimator import EstimationResult, ExperimentRecord, KAPPA_MAX_DEFAULT
 from .protocol import (
@@ -22,6 +22,7 @@ from .protocol import (
     CouplingTensor,
     LocalHamiltonians,
     ProtocolRun,
+    _field_of,
 )
 
 TOOL_VERSION = "0.1.0"
@@ -54,6 +55,12 @@ def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
+
+
+def _object(obj, where: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"'{where}' must be an object, got {type(obj).__name__}")
+    return obj
 
 
 def _vector(obj, where: str) -> np.ndarray:
@@ -125,7 +132,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
         np.array([_number(coupling_doc[k], f"coupling_mhz.{k}") for k in OMEGA_LABELS])
     )
 
-    locals_doc = doc.get("local_fields", {})
+    locals_doc = _object(doc.get("local_fields", {}), "local_fields")
     _reject_unknown(locals_doc, {"target", "probe"}, "local_fields")
     locals_ = LocalHamiltonians.from_fields(
         target=_vector(locals_doc.get("target", (0, 0, 0)), "local_fields.target"),
@@ -158,7 +165,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
             # error) but name the offending run
             raise type(exc)(f"{where}: {exc}") from exc
 
-    options_doc = doc.get("options", {})
+    options_doc = _object(doc.get("options", {}), "options")
     _reject_unknown(options_doc, {f.name for f in fields(ScenarioOptions)}, "options")
     options = ScenarioOptions(**{key: _option(key, value) for key, value in options_doc.items()})
     return ScenarioConfig(coupling=coupling, runs=tuple(runs), locals_=locals_, options=options)
@@ -189,8 +196,8 @@ def config_to_doc(config: ScenarioConfig) -> dict:
     return {
         "coupling_mhz": dict(zip(OMEGA_LABELS, config.coupling.values.tolist())),
         "local_fields": {
-            "target": _field_of(config.locals_.h_target),
-            "probe": _field_of(config.locals_.h_probe),
+            "target": _field_of(config.locals_.h_target).tolist(),
+            "probe": _field_of(config.locals_.h_probe).tolist(),
         },
         "runs": [
             {
@@ -203,11 +210,6 @@ def config_to_doc(config: ScenarioConfig) -> dict:
         ],
         "options": asdict(config.options),
     }
-
-
-def _field_of(h: np.ndarray) -> list[float]:
-    # h = h0*I + f.sigma; only the traceless field part matters.
-    return [float(np.trace(h @ PAULIS[a]).real / 2.0) for a in range(3)]
 
 
 def dump_json(doc: dict) -> str:

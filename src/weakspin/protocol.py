@@ -16,6 +16,19 @@ is then removed by conjugating the target state and the measurement
 axis with exp(+i H_t dt) / exp(+i H_p dt), yielding the corrected pair
 (r_f, q) that enters the linear response model.
 
+Phi2 itself is never formed.  Each read-out is Tr(O Phi2(t)) for
+O = sigma_mu (x) I (the target's Bloch vector) or I (x) q_tilde.sigma
+(the probe expectation), and with H_tot = V diag(w) V^dag and primes
+for the eigenbasis it is a finite Fourier sum,
+
+    Tr(O Phi2(t)) = sum_ab c_ab exp(-i (w_a - w_b) t),   c_ab = O'[b, a] Phi1'[a, b]
+                  = sum_a c_aa + sum_{a<b} 2 [Re c_ab cos + Im c_ab sin]((w_a - w_b) t),
+
+whose 4 diagonal and 6 pair terms are added elementwise in that fixed
+order.  A local Hamiltonian h0 I + f.sigma turns a Bloch vector by
+2|f|t about f, so its undo is the closed-form rotation of r_f (target
+field) and q_tilde (probe field) by -2|f|t about f (Rodrigues' formula).
+
 To first order in dt the measured probe expectation is
 
     E(q.sigma_p) ~ q.p + sum_mu 2 dt [ {(q x n_mu).p} (r_i + r_f)_mu
@@ -245,13 +258,6 @@ def _spectrum(g: CouplingTensor, locals_: LocalHamiltonians | None):
     return _cached_spectrum(g.values.tobytes(), locals_bytes)
 
 
-def _undo_unitaries(h: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Stacked exp(+i h t) for every t, of shape times.shape + (2, 2)."""
-    w, v = np.linalg.eigh(h)
-    phases = np.exp(-1j * w * -times[..., None])
-    return (v * phases[..., None, :]) @ v.conj().T
-
-
 def run_protocol(
     run: ProtocolRun,
     g: CouplingTensor,
@@ -282,17 +288,88 @@ def _vec3_rows(v, name: str) -> np.ndarray:
     return v.reshape(-1, 3)
 
 
+def _pauli_rows(v: np.ndarray) -> np.ndarray:
+    """Stacked v.sigma for the rows of v (each entry is one component, exactly)."""
+    return (v @ _PAULI_ROWS).reshape(-1, 2, 2)
+
+
 def _densities(v: np.ndarray, name: str) -> np.ndarray:
-    """Stacked (I + v.sigma)/2 for the rows of v, as bloch_to_density computes each."""
-    norm = np.linalg.norm(v, axis=1).max()
+    """Stacked (I + v.sigma)/2 for the rows of v."""
+    norm = np.sqrt(_dot3(v, v).max())
     if norm > 1.0 + BLOCH_NORM_ATOL:
         raise InvalidStateError(f"{name} norm {norm} exceeds 1")
-    return (IDENTITY_2 + np.tensordot(v, PAULIS, axes=1)) / 2.0
+    return (IDENTITY_2 + _pauli_rows(v)) / 2.0
 
 
-def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x[n] @ y[n] for every run n, each as one matrix-vector product."""
-    return np.matmul(x, y[:, :, None])[..., 0]
+def _kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[n] (x) b[n] for stacks of 2x2 matrices."""
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(-1, 4, 4)
+
+
+def _dot3(x, y) -> np.ndarray:
+    """x.y over the last axis, as one fixed-order sum of three products.
+
+    Each entry's bits depend on its own operands only, not on the shape
+    or layout of the stack it sits in, as a BLAS product's would.
+    """
+    out = x[..., 0] * y[..., 0]
+    out += x[..., 1] * y[..., 1]
+    out += x[..., 2] * y[..., 2]
+    return out
+
+
+def _field_of(h: np.ndarray) -> np.ndarray:
+    """Field f of a 2x2 Hamiltonian h = h0 I + f.sigma (h0 only shifts a phase)."""
+    return np.einsum("ij,aji->a", h, PAULIS).real / 2.0
+
+
+def _undo_field(h: np.ndarray, v: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Components (3, ...) of v rotated back through exp(+i h t).
+
+    exp(-i f.sigma t) turns a Bloch vector by 2|f|t about f, so undoing
+    it is the turn by -2|f|t, written out by Rodrigues' formula.
+    """
+    f = _field_of(h)
+    norm = np.sqrt(f @ f)
+    if norm == 0.0:
+        return v
+    k = f / norm
+    angle = -2.0 * norm * times
+    cos, sin = np.cos(angle), np.sin(angle)
+    kv = k[0] * v[0] + k[1] * v[1] + k[2] * v[2]
+    k_x_v = np.array(
+        [k[1] * v[2] - k[2] * v[1], k[2] * v[0] - k[0] * v[2], k[0] * v[1] - k[1] * v[0]]
+    )
+    return v * cos + k_x_v * sin + np.multiply.outer(k, kv * (1.0 - cos))
+
+
+_PAULI_ROWS = PAULIS.reshape(3, 4)
+# sigma_mu (x) I: the target's Pauli operators on the pair
+_TARGET_PAULIS = np.array([tensor_product(s, IDENTITY_2) for s in PAULIS])
+_TARGET_PAULIS.flags.writeable = False
+# eigenvalue pairs (a, b), a < b, in the order their terms are summed
+_PAIR_A, _PAIR_B = np.triu_indices(4, k=1)
+
+
+def _fourier_coefficients(r_i, p, q_tilde, v):
+    """Per run, the terms of Tr(O Phi2(t)) for O = sigma_mu (x) I and I (x) q_tilde.sigma.
+
+    In the eigenbasis v of H_tot, Tr(O Phi2(t)) = sum_ab c_ab exp(-i (w_a -
+    w_b) t) with c_ab = O[b, a] Phi1[a, b] and Phi1 = rho_t (x) rho_p.
+    Returns the sum of the diagonal terms, (4, N), and 2 c_ab for the
+    pairs a < b, (4, N, 6): a pair's term plus its conjugate's is
+    2 (Re c_ab cos + Im c_ab sin)((w_a - w_b) t).
+    """
+    n = len(r_i)
+    pair = np.empty((n, 2, 4, 4), dtype=complex)
+    pair[:, 0] = _kron_rows(_densities(r_i, "r_i"), _densities(p, "p"))
+    pair[:, 1] = _kron_rows(IDENTITY_2[None], _pauli_rows(q_tilde))
+    vh = v.conj().T
+    pair = vh @ pair @ v
+    obs_t = np.broadcast_to((vh @ _TARGET_PAULIS @ v)[:, None], (3, n, 4, 4))
+    c = np.concatenate([obs_t, pair[None, :, 1]]).swapaxes(-1, -2) * pair[:, 0]
+    diag = c[..., 0, 0].real + c[..., 1, 1].real + c[..., 2, 2].real + c[..., 3, 3].real
+    return diag, 2.0 * c[..., _PAIR_A, _PAIR_B]
 
 
 def run_protocol_series(
@@ -309,12 +386,13 @@ def run_protocol_series(
     per row.  times is a (T,) grid shared by every run, or an (N, T)
     array holding each run's own times in its row.  One memoized
     eigendecomposition of H_tot serves all runs and times (and every call
-    with the same g and locals_); the evolution, the partial traces, the
-    local-field undo and the Bloch read-out each act on the whole stack
-    at once.  Returns (r_f[N,T,3], q[N,T,3], expectation[N,T]) for
-    stacked input and (r_f[T,3], q[T,3], expectation[T]) for 3-vectors,
-    with run_protocol's correction semantics; each (run, time) entry is
-    bit-for-bit that of a one-run, one-time call.
+    with the same g and locals_); each observable is a Fourier sum over
+    its spectrum (see the module docstring), and the local-field undo is
+    a closed-form rotation.  Returns (r_f[N,T,3], q[N,T,3],
+    expectation[N,T]) for stacked input and (r_f[T,3], q[T,3],
+    expectation[T]) for 3-vectors, with run_protocol's correction
+    semantics.  Every step is elementwise or per run, so each (run, time)
+    entry is bit-for-bit that of a one-run, one-time call.
     """
     stacked = max(np.ndim(r_i), np.ndim(p), np.ndim(q_tilde)) == 2
     r_i = _vec3_rows(r_i, "r_i")
@@ -329,42 +407,27 @@ def run_protocol_series(
     if not np.all(times > 0.0):
         raise ParameterError("all times must be positive")
 
-    rho_t0, rho_p0 = _densities(r_i, "r_i"), _densities(p, "p")
-    phi1 = (rho_t0[:, :, None, :, None] * rho_p0[:, None, :, None, :]).reshape(n, 4, 4)
     w, v = _spectrum(g, locals_)
-    phi1_eig = v.conj().T @ phi1 @ v
-    # (T, 4, 4) or (N, T, 4, 4): shared times are not repeated per run
-    phases = np.exp(-1j * np.subtract.outer(w, w) * times[..., None, None])
-    # phi2 = v (phases * phi1_eig) v^dag: the two matrix products that
-    # einsum("ab,ntbc,dc->ntad", optimize=True) performs, over rows of
-    # (run, time, column), with each operand freed once used, so a stack
-    # of runs peaks at half the memory that einsum call takes
-    x = (phases * phi1_eig[:, None]).transpose(0, 1, 3, 2).reshape(-1, 4)
-    y = x @ v.T
-    del x
-    y = y.reshape(n, -1, 4, 4).transpose(3, 0, 1, 2).reshape(-1, 4)
-    phi2 = (y @ v.conj().T).reshape(4, n, -1, 4).transpose(1, 2, 0, 3)
-    del y
+    diag, c_pairs = _fourier_coefficients(r_i, p, q_tilde, v)
+    theta = np.multiply.outer(w[_PAIR_A] - w[_PAIR_B], times)
+    cos, sin = np.cos(theta), np.sin(theta)
+    re, im = c_pairs.real[..., None], c_pairs.imag[..., None]
+    values = np.empty((4, n, times.shape[-1]))
+    values[...] = diag[..., None]
+    term = np.empty_like(values)
+    for j in range(len(_PAIR_A)):
+        values += np.multiply(re[:, :, j], cos[j], out=term)
+        values += np.multiply(im[:, :, j], sin[j], out=term)
 
-    r4 = phi2.reshape(n, -1, 2, 2, 2, 2)
-    rho_t = np.einsum("ntipjp->ntij", r4)
-    rho_p = np.einsum("ntipiq->ntpq", r4)
-    q_sigma = np.tensordot(q_tilde, PAULIS, axes=1)
-    # einsum sums each trace in an order set by the operands' memory
-    # layout; giving every run its own block, laid out as a one-run
-    # call's rho_p is, keeps that order
-    rho_p_runs = np.ascontiguousarray(rho_p.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
-    exp_vals = np.einsum("ntij,nji->nt", rho_p_runs, q_sigma).real
-
-    if locals_ is None or locals_.is_zero:
-        q = np.broadcast_to(q_tilde[:, None], (n, times.shape[-1], 3)).copy()
-    else:
-        undo_t = _undo_unitaries(locals_.h_target, times)
-        undo_p = _undo_unitaries(locals_.h_probe, times)
-        rho_t = undo_t @ rho_t @ undo_t.conj().swapaxes(-1, -2)
-        q_op = undo_p @ q_sigma[:, None] @ undo_p.conj().swapaxes(-1, -2)
-        q = np.einsum("ntij,aji->nta", q_op, PAULIS).real / 2.0
-    r_f = np.einsum("ntij,aji->nta", rho_t, PAULIS).real
+    # values[k]: the target's Bloch vector for k < 3, E(q_tilde.sigma_p) for k = 3
+    r_f, exp_vals = values[:3], values[3]
+    q = np.broadcast_to(q_tilde.T.copy()[:, :, None], r_f.shape)
+    if locals_ is not None and not locals_.is_zero:
+        r_f = _undo_field(locals_.h_target, r_f, times)
+        q = _undo_field(locals_.h_probe, q, times)
+    # component-major storage, seen as (N, T, 3); without a probe field q
+    # is a read-only view that repeats q_tilde over the times
+    r_f, q = r_f.transpose(1, 2, 0), q.transpose(1, 2, 0)
     if stacked:
         return r_f, q, exp_vals
     return r_f[0], q[0], exp_vals[0]
@@ -407,34 +470,52 @@ def first_order_expectation(r_i, r_f, p, q, dt: float, g: CouplingTensor) -> flo
     )
 
 
+def _first_order(r_i, r_f, p, q, times, g: CouplingTensor):
+    """first_order_series without its guard: the (N, T) model and 1 + r_i.r_f.
+
+    With u = p x q and v = q - (q.p) p the mu terms of the model sum to
+
+        q.p + 2 dt [(g u).(r_i + r_f) + (g v).(r_i x r_f)] / (1 + r_i.r_f)
+      = q.p + 2 dt [r_f.k + r_i.(g u)] / (1 + r_i.r_f),   k = g u + (g v) x r_i,
+
+    where k depends on q and not on r_f, so a q of shape (N, 1, 3) that
+    holds for every time is modelled once per run.  Every product is an
+    elementwise fixed-order sum.
+    """
+    r_i = _vec3_rows(r_i, "r_i")[:, None]
+    p = _vec3_rows(p, "p")[:, None]
+    r_f = np.asarray(r_f, dtype=float).reshape(len(r_i), -1, 3)
+    q = np.asarray(q, dtype=float).reshape(len(r_i), -1, 3)
+    times = np.asarray(times, dtype=float).reshape(-1)
+    m = g.matrix
+
+    def g_dot(u):
+        return np.stack([_dot3(m[mu], u) for mu in range(3)], axis=-1)
+
+    qp = _dot3(q, p)
+    gu = g_dot(np.cross(p, q))
+    k = gu + np.cross(g_dot(q - p * qp[..., None]), r_i)
+    denom = 1.0 + _dot3(r_f, r_i)
+    # qp + 2 dt (r_f.k + r_i.(g u)) / denom, in place
+    model = _dot3(r_f, k)
+    model += _dot3(r_i, gu)
+    model *= 2.0 * times
+    with np.errstate(divide="ignore", invalid="ignore"):  # at invalid points only
+        model /= denom
+    model += qp
+    return model, denom
+
+
 def first_order_series(r_i, r_f, p, q, times, g: CouplingTensor) -> np.ndarray:
     """Vectorized first_order_expectation over per-time (r_f, q) arrays.
 
     r_i and p are 3-vectors with r_f and q of shape (T, 3), returning
     (T,); or (N, 3) stacks with r_f and q of shape (N, T, 3), returning
-    (N, T).  Each run's values are bit-for-bit those of a one-run call.
+    (N, T).  Each entry is bit-for-bit that of a one-run, one-time call.
     """
-    stacked = np.ndim(r_i) == 2
-    r_i = _vec3_rows(r_i, "r_i")
-    p = _vec3_rows(p, "p")
-    r_f = np.asarray(r_f, dtype=float).reshape(len(r_i), -1, 3)
-    q = np.asarray(q, dtype=float).reshape(len(r_i), -1, 3)
-    times = np.asarray(times, dtype=float).reshape(-1)
-
-    denom = 1.0 + _rowdot(r_f, r_i)
+    model, denom = _first_order(r_i, r_f, p, q, times, g)
     if np.any(denom < EPS_ORTH):
         raise OrthogonalPostSelectionError(
             "1 + r_i.r_f dropped below the orthogonality guard on the grid"
         )
-    qp = _rowdot(q, p)
-    cross_if = np.cross(r_i[:, None], r_f)
-    total = qp.copy()
-    m = g.matrix
-    for mu in range(3):
-        n = m[:, mu]
-        # p.n stays one dot product per run, as in a one-run call
-        pn = np.matmul(p[:, None, :], n[:, None])[..., 0]
-        term1 = _rowdot(np.cross(q, n), p) * (r_i[:, None, mu] + r_f[..., mu])
-        term2 = (q @ n - pn * qp) * cross_if[..., mu]
-        total = total + 2.0 * times * (term1 + term2) / denom
-    return total if stacked else total[0]
+    return model if np.ndim(r_i) == 2 else model[0]

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from weakspin import CouplingTensor, first_order_expectation, sample_designs
-from weakspin.cli import main
+from weakspin import cli
+from weakspin.cli import build_parser, main
 from weakspin.fileio import dump_json, load_records
 from weakspin.protocol import OMEGA_LABELS
 
@@ -296,6 +297,49 @@ def test_non_utf8_input_is_parse_error(tmp_path, argv):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "not UTF-8" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "field,value,command",
+    [
+        ("local_fields", [], "simulate"),
+        ("local_fields", [1.0, 0.0, 0.0], "design"),
+        ("options", [], "simulate"),
+        ("options", "seed=1", "curve"),
+    ],
+    ids=["local_fields-list", "local_fields-vector", "options-list", "options-string"],
+)
+def test_non_object_config_field_is_parse_error(tmp_path, field, value, command):
+    doc = _normalized_doc(NV_DOC)
+    doc[field] = value
+    config = _write(tmp_path, "config.json", doc)
+    extra = {"curve": ["--run-index", "0"], "design": ["--count", "1"]}.get(command, [])
+    proc = subprocess.run(
+        [sys.executable, "-m", "weakspin.cli", command, "--config", config, *extra, "--out", "-"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"'{field}' must be an object" in proc.stderr
+
+
+def test_parser_built_once_serves_every_call(nv_config, tmp_path, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    records, again = tmp_path / "records.json", tmp_path / "again.json"
+    assert main(["simulate", "--config", nv_config, "--out", str(records)]) == 0
+    report = tmp_path / "report.json"
+    assert main(["estimate", "--records", str(records), "--out", str(report)]) == 0
+    assert capsys.readouterr().out.startswith("estimated coupling (MHz): xx=")
+    assert set(json.loads(report.read_text())["coupling_mhz"]) == set(OMEGA_LABELS)
+    assert main(["simulate", "--config", nv_config, "--bogus-flag"]) == 2
+    assert "unrecognized arguments: --bogus-flag" in capsys.readouterr().err
+    # the failed parse leaves the shared parser as it was
+    assert main(["simulate", "--config", nv_config, "--out", str(again)]) == 0
+    assert again.read_bytes() == records.read_bytes()
+    assert len(built) == 1
 
 
 def test_design_without_grid_or_threshold_uses_library_defaults(tmp_path):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -15,12 +17,16 @@ from weakspin import (
     weak_horizon,
 )
 from weakspin.core import ParameterError
+from weakspin import design as design_module
+from weakspin.cli import main
 from weakspin.design import (
     CorrectionCurve,
     _curves,
     _delta_at,
+    _time_indices,
     assign_time,
     predicted_design_matrix,
+    sample_unit_vectors,
 )
 from weakspin.estimator import build_row, build_rows
 from weakspin.protocol import first_order_series
@@ -221,6 +227,130 @@ def test_sample_designs_scores_match_single_run_functions(fields):
             for r in cand.runs
         ]
         assert cand.max_correction == max(deltas)
+
+
+def _dents_by_loop(times, values, valid, threshold, dt_min):
+    """find_dents' rule as a loop over grid points, deepest first, earlier on a tie."""
+    hits = [
+        i
+        for i in range(1, len(times) - 1)
+        if valid[i - 1] and valid[i] and valid[i + 1] and times[i] >= dt_min
+        and values[i] < threshold and values[i] < values[i - 1] and values[i] < values[i + 1]
+    ]
+    return sorted(hits, key=lambda i: (values[i], times[i]))
+
+
+def _choice_by_loop(times, values, valid, threshold, dt_min):
+    """assign_time's rule as loops: (grid index, branch that chose it)."""
+    below = [bool(ok and v <= threshold) for v, ok in zip(values, valid)]
+    if below[0]:
+        i = 0
+        while i + 1 < len(below) and below[i + 1]:
+            i += 1
+        return i, "horizon"
+    dents = _dents_by_loop(times, values, valid, threshold, dt_min)
+    if dents:
+        return dents[0], "dent"
+    pool = [i for i in range(len(times)) if valid[i] and times[i] >= dt_min]
+    pool = pool or [i for i in range(len(times)) if valid[i]]
+    return min(pool, key=lambda i: (values[i], i)), "minimum"
+
+
+def _branch_curves():
+    """(values, valid) rows that reach each branch of the time choice."""
+    t = np.arange(1, 41) * 0.01
+    rows = []
+    rows.append(0.021 * np.arange(40))  # the horizon ends at index 4 (0.084 < 0.1 < 0.105)
+    rows.append(np.full(40, 0.01))  # every point below: horizon is the last point
+    v = np.full(40, 0.5)
+    v[[2, 12, 30]] = [0.01, 0.05, 0.05]  # dent at 0.03 sits below dt_min; tie goes to 0.13
+    rows.append(v)
+    v = np.full(40, 0.5)
+    v[[12, 30]] = [0.02, 0.05]
+    rows.append(v)  # its deeper dent at 0.13 has an invalid neighbour (below)
+    v = 0.3 + np.abs(t - 0.25)  # no dent below threshold: least valid point beyond dt_min,
+    rows.append(v)  # where the minimum is invalid (below) and its neighbours tie
+    v = 0.3 + np.abs(t - 0.02)  # minimum below dt_min, invalid beyond: all valid points compete
+    rows.append(v)
+    v = np.full(40, 0.01)
+    v[[17, 25]] = [0.005, 0.004]
+    rows.append(v)  # first point invalid: no horizon, dents still count
+    values = np.array(rows)
+    valid = np.ones(values.shape, dtype=bool)
+    valid[3, 11] = False
+    valid[4, [10, 23, 24, 25]] = False
+    valid[5, 4:] = False
+    valid[6, 0] = False
+    values[~valid] = np.nan
+    return t, values, valid
+
+
+def test_vectorized_time_choice_matches_loops_on_every_branch():
+    t, values, valid = _branch_curves()
+    threshold, dt_min = 0.1, 0.05
+    chosen = _time_indices(t, values, valid, threshold, dt_min)
+    branches = set()
+    for k in range(len(values)):
+        idx, branch = _choice_by_loop(t, values[k], valid[k], threshold, dt_min)
+        branches.add(branch)
+        assert chosen[k] == idx
+        curve = _fixture_curve(values[k], times=t, valid=valid[k])
+        assert assign_time(curve, threshold, dt_min=dt_min) == (t[idx], values[k, idx])
+        dents = _dents_by_loop(t, values[k], valid[k], threshold, dt_min)
+        assert find_dents(curve, threshold, dt_min=dt_min) == [t[i] for i in dents]
+    assert branches == {"horizon", "dent", "minimum"}
+
+
+@pytest.mark.parametrize("fields", [None, ((0.9, -1.7, 0.4), (-1.2, 0.3, 2.2))],
+                         ids=["no-fields", "both-fields"])
+def test_sample_designs_times_match_per_curve_choice(fields):
+    # the stacked choice over all candidates picks, run for run, the time
+    # that assign_time picks on that run's own correction curve
+    g = nv_coupling()
+    locals_ = fields and LocalHamiltonians.from_fields(*fields)
+    times = grid_times((0.01, 0.3, 1e-3))  # starts late enough for dents to count
+    branches = set()
+    for cand in sample_designs(19, g, 10, times=times, threshold=1e-2, locals_=locals_):
+        for r in cand.runs:
+            curve = correction_curve(r.r_i, r.p, r.q_tilde, g, locals_, times)
+            idx, branch = _choice_by_loop(times, curve.values, curve.valid, 1e-2, 0.02)
+            branches.add(branch)
+            assert assign_time(curve, 1e-2) == (r.dt, curve.values[idx])
+            assert r.dt == times[idx]
+    assert branches == {"horizon", "dent", "minimum"}
+
+
+def test_sample_designs_draws_candidates_in_turn():
+    # every candidate's vectors are one sample_unit_vectors draw, taken in
+    # candidate order from the seeded generator
+    rng = np.random.default_rng(23)
+    draws = [sample_unit_vectors(rng, 3 * 4) for _ in range(9)]
+    candidates = sample_designs(23, nv_coupling(), 9, n_runs=4, times=grid_times((2e-3, 0.1, 2e-3)))
+    by_first = {d[0].tobytes(): d for d in draws}
+    for cand in candidates:
+        d = by_first.pop(cand.runs[0].r_i.tobytes())
+        for k, run in enumerate(cand.runs):
+            assert np.array_equal(run.r_i, d[3 * k])
+            assert np.array_equal(run.p, d[3 * k + 1])
+            assert np.array_equal(run.q_tilde, d[3 * k + 2])
+    assert not by_first
+
+
+GOLDEN_CONFIG = os.path.join(os.path.dirname(__file__), "data", "golden_config.json")
+
+
+@pytest.mark.parametrize("count", [1, 7])
+def test_design_command_makes_one_engine_call(monkeypatch, tmp_path, count):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return run_protocol_series(*args, **kwargs)
+
+    monkeypatch.setattr(design_module, "run_protocol_series", counted)
+    out = tmp_path / "design.json"
+    assert main(["design", "--config", GOLDEN_CONFIG, "--count", str(count), "--out", str(out)]) == 0
+    assert calls == [(6 * count, 3)]
 
 
 def test_stacked_curves_with_invalid_points_match_single_curves():

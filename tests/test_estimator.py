@@ -91,7 +91,8 @@ def test_build_system_equals_record_by_record_assembly():
     assert a.flags.c_contiguous
     for k, rec in enumerate(records):
         c = np.outer(np.cross(rec.p, rec.q), rec.r_i + rec.r_f)
-        c += np.outer(rec.q - rec.p * np.dot(rec.q, rec.p), np.cross(rec.r_i, rec.r_f))
+        qp = rec.q[0] * rec.p[0] + rec.q[1] * rec.p[1] + rec.q[2] * rec.p[2]
+        c += np.outer(rec.q - rec.p * qp, np.cross(rec.r_i, rec.r_f))
         row = [c[i, j] if i == j else c[i, j] + c[j, i] for i, j in OMEGA]
         assert np.array_equal(a[k], row)
         assert np.array_equal(build_row(rec), row)

@@ -27,12 +27,12 @@ GOLDEN = [
     (
         "design",
         ["design", "--config", GOLDEN_CONFIG, "--count", "5", "--seed", "7"],
-        "2cd36a1b7dba42276d370fb52d9d0f1b22e3a8cb9b736ef0db7d62867c605a01",
+        "9014ebef9084b30d0c4b2221e188307e5a616f908a33b110d15bfa1851ccd91c",
     ),
     (
         "simulate",
         ["simulate", "--config", GOLDEN_CONFIG, "--noise", "1e-6"],
-        "bf395cb3c08b2401e45a9b67d68f94e9bf11d27b808eba91b4f697f5524003c9",
+        "6f64470361c974be924b4a963278b950202bf4ee6563d1fd30860fbb25c89939",
     ),
 ]
 

@@ -281,6 +281,35 @@ def test_per_run_times_match_series_oracle():
             assert abs(e_s[k, j] - e) <= 1e-12
 
 
+ORACLE_FIELDS = [
+    pytest.param(None, id="no-fields"),
+    pytest.param(((1.3, -2.7, 0.8), (-2.1, 0.4, 3.0)), id="both-fields"),
+    pytest.param(((0.0, 0.0, 0.0), (2.5, -1.2, 0.7)), id="probe-field-only"),
+]
+
+
+@pytest.mark.parametrize("fields", ORACLE_FIELDS)
+@pytest.mark.parametrize("per_run", [False, True], ids=["shared-times", "per-run-times"])
+def test_fourier_engine_matches_series_oracle(fields, per_run):
+    # the Fourier sums and the Rodrigues undo against the oracle's
+    # Kronecker H_tot, Taylor propagators, index-sum partial traces and
+    # series exponentials of each field
+    rng = np.random.default_rng(54 + per_run)
+    g = random_coupling(rng, max_abs=5.0)
+    locals_ = fields and LocalHamiltonians.from_fields(*fields)
+    field_t, field_p = np.zeros((2, 3)) if fields is None else np.array(fields)
+    n = 7
+    r_i, p, q = _stacked_runs(rng, n)
+    times = rng.uniform(0.005, 0.3, size=(n, 4)) if per_run else np.linspace(0.01, 0.3, 4)
+    r_f_s, q_s, e_s = run_protocol_series(r_i, p, q, g, locals_, times)
+    for k in range(n):
+        for j, t in enumerate(times[k] if per_run else times):
+            r_f, q_k, e = outcome_by_series(r_i[k], p[k], q[k], g.matrix, field_t, field_p, t)
+            assert np.allclose(r_f_s[k, j], r_f, rtol=0, atol=1e-12)
+            assert np.allclose(q_s[k, j], q_k, rtol=0, atol=1e-12)
+            assert abs(e_s[k, j] - e) <= 1e-12
+
+
 def test_per_run_times_need_one_row_per_run():
     rng = np.random.default_rng(52)
     r_i, p, q = _stacked_runs(rng, 3)
