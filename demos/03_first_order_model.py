@@ -9,12 +9,8 @@ tabulates the convergence order.
 
 import numpy as np
 
-from weakspin import (
-    CouplingTensor,
-    ProtocolRun,
-    first_order_expectation,
-    run_protocol,
-)
+from weakspin import CouplingTensor, Runs, run_protocol
+from weakspin.protocol import first_order_series
 
 rng = np.random.default_rng(8)
 
@@ -35,16 +31,28 @@ r_i = unit(rng.normal(size=3))
 p = unit(rng.normal(size=3))
 q = unit(rng.normal(size=3))
 
+
+def simulate(dt):
+    """Exact (r_f, q, expectation) of the run (r_i, p, q) at dt, a one-row stack."""
+    r_f, q_f, exact = run_protocol(Runs(r_i=[r_i], p=[p], q_tilde=[q], dt=[dt]), g)
+    return r_f[0], q_f[0], exact[0]
+
+
+def model(r_f, q_f, dt, g):
+    """First-order expectation at one time: a one-time series."""
+    return float(first_order_series(r_i, [r_f], p, [q_f], [dt], g)[0])
+
+
 print("dt [us]    exact        model        |gap|      gap/dt^2")
 prev_gap = None
 for k in range(8):
     dt = 0.02 / 2**k
-    out = run_protocol(ProtocolRun(r_i=r_i, p=p, q_tilde=q, dt=dt), g)
-    model = first_order_expectation(r_i, out.r_f, p, out.q, dt, g)
-    gap = abs(out.expectation - model)
+    r_f, q_f, exact = simulate(dt)
+    approx = model(r_f, q_f, dt, g)
+    gap = abs(exact - approx)
     note = "" if prev_gap is None else f"   ratio vs previous: {prev_gap / gap:.2f}"
     print(
-        f"{dt:8.5f}  {out.expectation:+.6f}  {model:+.6f}  {gap:.3e}  {gap / dt**2:9.4f}{note}"
+        f"{dt:8.5f}  {exact:+.6f}  {approx:+.6f}  {gap:.3e}  {gap / dt**2:9.4f}{note}"
     )
     prev_gap = gap
 
@@ -56,8 +64,8 @@ print(
 
 # The model is also exactly affine in the coupling at fixed data, which
 # is what makes the inversion a linear solve.
-out = run_protocol(ProtocolRun(r_i=r_i, p=p, q_tilde=q, dt=0.01), g)
-qp = float(out.q @ p)
-f1 = first_order_expectation(r_i, out.r_f, p, out.q, 0.01, g) - qp
-f2 = first_order_expectation(r_i, out.r_f, p, out.q, 0.01, g.scaled(2.0)) - qp
+r_f, q_f, _ = simulate(0.01)
+qp = float(q_f @ p)
+f1 = model(r_f, q_f, 0.01, g) - qp
+f2 = model(r_f, q_f, 0.01, g.scaled(2.0)) - qp
 print(f"\nresponse at 2g over response at g: {f2 / f1:.6f} (exactly 2 by linearity)")

@@ -22,8 +22,9 @@ g = nv_coupling()
 grid = grid_times()  # 1e-3 us steps over (0, 0.2]
 
 print("run  published dt   local minima (dt/Delta)")
-for idx, (run, row) in enumerate(zip(nv_runs(), NV_PARAMETER_ROWS)):
-    curve = correction_curve(run.r_i, run.p, run.q_tilde, g, times=grid)
+runs = nv_runs()
+for idx, row in enumerate(NV_PARAMETER_ROWS):
+    curve = correction_curve(runs.r_i[idx], runs.p[idx], runs.q_tilde[idx], g, times=grid)
     minima = find_dents(curve, threshold=np.inf)
     described = ", ".join(
         f"{t:.3f}/{curve.values[np.argmin(np.abs(curve.times - t))]:.1e}"

@@ -11,16 +11,10 @@ Three experiments on the bundled NV coupling tensor:
 
 import numpy as np
 
-from weakspin import (
-    ExperimentRecord,
-    LocalHamiltonians,
-    error_stats,
-    estimate_tensor,
-    first_order_expectation,
-    record_from_run,
-    run_protocol,
-)
+from weakspin import LocalHamiltonians, Records, error_stats, estimate_tensor
+from weakspin.estimator import simulate_records
 from weakspin.nv import nv_coupling, nv_runs, reproduce
+from weakspin.protocol import first_order_series
 
 np.set_printoptions(precision=4, suppress=True)
 rng = np.random.default_rng(5)
@@ -32,23 +26,23 @@ def unit(v):
 
 
 # --- 1. closed loop against the model itself -------------------------
-records = []
-while len(records) < 6:
+rows = []
+while len(rows) < 6:
     r_i, r_f, p, q = (unit(rng.normal(size=3)) for _ in range(4))
     if 1.0 + r_i @ r_f < 0.2:
         continue
     dt = rng.uniform(0.02, 0.08)
-    e = first_order_expectation(r_i, r_f, p, q, dt, g)
+    e = first_order_series(r_i, [r_f], p, [q], [dt], g)[0]
     if abs(e) <= 1.0:
-        records.append(ExperimentRecord(r_i=r_i, r_f=r_f, p=p, q=q, dt=dt, expectation=e))
+        rows.append((r_i, r_f, p, q, dt, e))
 
-result = estimate_tensor(records)
+result = estimate_tensor(Records(*(np.array(column) for column in zip(*rows))))
 print("closed loop (model-generated data):")
 print(f"  worst component error: {np.abs(result.g_est.values - g.values).max():.2e} MHz")
 print(f"  condition number: {result.condition_number:.1f}")
 
 # --- 2. exact dynamics at the published times -------------------------
-records = [record_from_run(r, run_protocol(r, g, LocalHamiltonians.zero())) for r in nv_runs()]
+records = simulate_records(nv_runs(), g, LocalHamiltonians.zero(), 0.0, rng)
 result = estimate_tensor(records)
 print("\nexact dynamics at the published interaction times:")
 print(result.g_est.matrix)

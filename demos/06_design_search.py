@@ -8,17 +8,13 @@ the design matrix they would produce.  The best candidate is then
 validated by an exact-dynamics round trip at dt and dt/2.
 """
 
+import dataclasses
+
 import numpy as np
 
-from weakspin import (
-    ProtocolRun,
-    estimate_tensor,
-    grid_times,
-    record_from_run,
-    run_protocol,
-    sample_designs,
-)
+from weakspin import estimate_tensor, grid_times, sample_designs
 from weakspin.design import predicted_design_matrix
+from weakspin.estimator import simulate_records
 from weakspin.nv import nv_coupling, nv_runs
 
 np.set_printoptions(precision=4, suppress=True)
@@ -35,7 +31,7 @@ candidates = sample_designs(seed=7, g_prior=g_prior, n=40, times=grid, threshold
 print("\ntop five sampled candidates:")
 print("rank  condition  max model error   chosen dts (us)")
 for rank, cand in enumerate(candidates[:5], start=1):
-    dts = ", ".join(f"{r.dt:.4f}" for r in cand.runs)
+    dts = ", ".join(f"{dt:.4f}" for dt in cand.runs.dt)
     print(
         f"{rank:>4}  {cand.condition_number:9.2f}  {cand.max_correction:15.2e}   {dts}"
     )
@@ -43,14 +39,12 @@ for rank, cand in enumerate(candidates[:5], start=1):
 best = candidates[0]
 
 def round_trip(runs):
-    records = [record_from_run(r, run_protocol(r, g_prior)) for r in runs]
+    records = simulate_records(runs, g_prior, None, 0.0, np.random.default_rng(0))
     est = estimate_tensor(records).g_est.values
     return np.abs(est - g_prior.values).max()
 
 err_full = round_trip(best.runs)
-err_half = round_trip(
-    [ProtocolRun(r_i=r.r_i, p=r.p, q_tilde=r.q_tilde, dt=r.dt / 2.0) for r in best.runs]
-)
+err_half = round_trip(dataclasses.replace(best.runs, dt=best.runs.dt / 2.0))
 print(f"\nbest candidate round-trip error: {err_full:.2e} MHz")
 print(f"same design with halved times:   {err_half:.2e} MHz (ratio {err_half / err_full:.2f})")
 print(

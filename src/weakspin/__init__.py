@@ -31,12 +31,10 @@ from .design import (
 )
 from .estimator import (
     EstimationResult,
-    ExperimentRecord,
-    build_row,
+    Records,
     build_system,
     error_stats,
     estimate_tensor,
-    record_from_run,
     solve,
 )
 from .protocol import (
@@ -44,10 +42,8 @@ from .protocol import (
     OMEGA_LABELS,
     CouplingTensor,
     LocalHamiltonians,
-    ProtocolRun,
-    RunOutcome,
+    Runs,
     build_interaction,
-    first_order_expectation,
     run_protocol,
     run_protocol_series,
     total_hamiltonian,

@@ -116,15 +116,13 @@ def _write_text(path: str, text: str) -> None:
 def cmd_simulate(args) -> int:
     config, config_sha256 = fileio.load_config_file(args.config)
     options = _options(args, config.options)
-    if options.noise < 0.0:
-        raise ParameterError(f"noise spread must be >= 0, got {options.noise}")
     if not args.dt_scale > 0.0:
         raise ParameterError(f"dt scale must be positive, got {args.dt_scale}")
     scale = _angular_scale(args)
     g_sim = config.coupling.scaled(scale)
     runs = config.runs
     if args.dt_scale != 1.0:
-        runs = [dataclasses.replace(r, dt=r.dt * args.dt_scale) for r in runs]
+        runs = dataclasses.replace(runs, dt=runs.dt * args.dt_scale)
     rng = np.random.default_rng(options.seed)
     records = simulate_records(runs, g_sim, config.locals_, options.noise, rng)
     meta = {
@@ -185,9 +183,9 @@ def cmd_curve(args) -> int:
         )
     options = _options(args, config.options)
     scale = _angular_scale(args)
-    run = config.runs[args.run_index]
+    runs, k = config.runs, args.run_index
     curve = design_mod.correction_curve(
-        run.r_i, run.p, run.q_tilde, config.coupling.scaled(scale),
+        runs.r_i[k], runs.p[k], runs.q_tilde[k], config.coupling.scaled(scale),
         config.locals_, design_mod.grid_times(options.grid),
     )
     dents = set(design_mod.find_dents(curve, options.dent_threshold))
@@ -213,15 +211,7 @@ def cmd_design(args) -> int:
             {
                 "condition_number": c.condition_number,
                 "max_correction": c.max_correction,
-                "runs": [
-                    {
-                        "r_i": r.r_i.tolist(),
-                        "p": r.p.tolist(),
-                        "q": r.q_tilde.tolist(),
-                        "dt": r.dt,
-                    }
-                    for r in c.runs
-                ],
+                "runs": fileio.runs_to_doc(c.runs),
             }
             for c in candidates
         ],
@@ -240,12 +230,11 @@ def cmd_design(args) -> int:
 def cmd_reproduce_nv(args) -> int:
     if not args.dt_scale > 0.0:
         raise ParameterError(f"dt scale must be positive, got {args.dt_scale}")
-    if args.noise < 0.0:
-        raise ParameterError(f"noise spread must be >= 0, got {args.noise}")
+    options = fileio.ScenarioOptions(seed=args.seed, noise=args.noise)
     outcome = nv.reproduce(
         dt_scale=args.dt_scale,
-        noise=args.noise,
-        seed=args.seed,
+        noise=options.noise,
+        seed=options.seed,
         angular_scale=_angular_scale(args),
     )
     np.set_printoptions(precision=4, suppress=True)

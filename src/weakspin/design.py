@@ -25,8 +25,9 @@ from .protocol import (
     EPS_ORTH,
     CouplingTensor,
     LocalHamiltonians,
-    ProtocolRun,
+    Runs,
     _first_order,
+    run_protocol,
     run_protocol_series,
 )
 
@@ -47,9 +48,6 @@ class CorrectionCurve:
     flagged invalid (value NaN) rather than failing the whole curve.
     """
 
-    r_i: np.ndarray
-    p: np.ndarray
-    q_tilde: np.ndarray
     times: np.ndarray
     values: np.ndarray
     valid: np.ndarray
@@ -57,14 +55,14 @@ class CorrectionCurve:
 
 @dataclass(frozen=True, eq=False)
 class DesignCandidate:
-    """A set of protocol runs with its design-quality score.
+    """A set of protocol runs, one per row, with its design-quality score.
 
     max_correction is the largest model error Delta at the chosen
     interaction times; condition_number refers to the predicted design
     matrix.  Candidates sort by conditioning.
     """
 
-    runs: tuple[ProtocolRun, ...]
+    runs: Runs
     max_correction: float
     condition_number: float
 
@@ -106,19 +104,6 @@ def _model_errors(r_i, p, q_tilde, g, locals_, times):
     return delta, valid, r_f, q
 
 
-def _curves(r_i, p, q_tilde, g, locals_, times):
-    """Correction curves of N stacked runs, with the r_f and q of _model_errors."""
-    values, valid, r_f, q = _model_errors(r_i, p, q_tilde, g, locals_, times)
-    r_i, p, q_tilde = (np.asarray(v, dtype=float) for v in (r_i, p, q_tilde))
-    curves = [
-        CorrectionCurve(
-            r_i=r_i[k], p=p[k], q_tilde=q_tilde[k], times=times, values=values[k], valid=valid[k]
-        )
-        for k in range(len(r_i))
-    ]
-    return curves, r_f, q
-
-
 def correction_curve(
     r_i,
     p,
@@ -137,7 +122,8 @@ def correction_curve(
     """
     times = _check_grid(grid_times() if times is None else times, t_max)
     stack = (np.asarray(v, dtype=float)[None] for v in (r_i, p, q_tilde))
-    return _curves(*stack, g, locals_, times)[0][0]
+    values, valid, _, _ = _model_errors(*stack, g, locals_, times)
+    return CorrectionCurve(times=times, values=values[0], valid=valid[0])
 
 
 def _dent_mask(times, values, valid, threshold, dt_min):
@@ -226,18 +212,15 @@ def sample_unit_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def predicted_design_matrix(
-    runs, g_prior: CouplingTensor, locals_: LocalHamiltonians | None = None
+    runs: Runs, g_prior: CouplingTensor, locals_: LocalHamiltonians | None = None
 ) -> np.ndarray:
     """Design matrix a candidate would produce under the prior tensor.
 
     The final target vectors and axes come from one engine call that
     simulates every run at its own dt.
     """
-    r_i, p, q_tilde, dts = (
-        np.array([getattr(run, k) for run in runs]) for k in ("r_i", "p", "q_tilde", "dt")
-    )
-    r_f, q, _ = run_protocol_series(r_i, p, q_tilde, g_prior, locals_, dts[:, None])
-    return build_rows(r_i, r_f[:, 0], p, q[:, 0])
+    r_f, q, _ = run_protocol(runs, g_prior, locals_)
+    return build_rows(runs.r_i, r_f, runs.p, q)
 
 
 def sample_designs(
@@ -275,12 +258,10 @@ def sample_designs(
     a = build_rows(r_i, r_f_grid[at], p, q_grid[at]).reshape(n, n_runs, 6)
     conditions = np.linalg.cond(a)
     dts = grid[at[1]].reshape(n, n_runs)
+    r_i, p, q = (v.reshape(n, n_runs, 3) for v in (r_i, p, q))
     out = [
         DesignCandidate(
-            runs=tuple(
-                ProtocolRun(r_i=r_i[k], p=p[k], q_tilde=q[k], dt=dt)
-                for k, dt in enumerate(dts[c], start=c * n_runs)
-            ),
+            runs=Runs(r_i=r_i[c], p=p[c], q_tilde=q[c], dt=dts[c]),
             max_correction=float(np.max(deltas[c], initial=0.0)),
             condition_number=float(conditions[c]),
         )

@@ -17,6 +17,9 @@ both index placements of the response.  Six independent records give a
 square solve; more give least squares.  The row coefficients equal the
 partial derivatives of the response model with respect to the stored
 tensor components, which the test suite checks by central differences.
+
+Records holds N records as arrays, one record per row, validated once
+when built; a fault names its first bad row as records[k].
 """
 
 from __future__ import annotations
@@ -31,12 +34,12 @@ from .protocol import (
     OMEGA,
     CouplingTensor,
     LocalHamiltonians,
-    ProtocolRun,
-    RunOutcome,
-    _as_bloch,
-    _as_vec3,
+    Runs,
+    _check_rows,
     _dot3,
-    run_protocol_series,
+    _freeze_rows,
+    _state_checks,
+    run_protocol,
 )
 
 KAPPA_MAX_DEFAULT = 1e8
@@ -63,35 +66,43 @@ class IllConditionedDesignError(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
-class ExperimentRecord:
-    """One protocol run's controlled parameters and measured outcomes."""
+class Records:
+    """Controlled parameters and measured outcomes of N runs, one per row.
+
+    r_i and p are the preparations, r_f the corrected post-selected
+    target vectors and q the corrected measurement axes, each (N, 3);
+    dt and the measured probe expectations are (N,).
+    """
 
     r_i: np.ndarray
     r_f: np.ndarray
     p: np.ndarray
     q: np.ndarray
-    dt: float
-    expectation: float
+    dt: np.ndarray
+    expectation: np.ndarray
 
     def __post_init__(self):
-        # prepared states must lie in the Bloch ball; a measured r_f is
-        # not checked, since simulated noise can push it just outside
-        checks = (("r_i", _as_bloch), ("r_f", _as_vec3), ("p", _as_bloch), ("q", _as_vec3))
-        for name, check in checks:
-            object.__setattr__(self, name, check(getattr(self, name), name))
-        object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "expectation", float(self.expectation))
-        denom = 1.0 + float(np.dot(self.r_i, self.r_f))
-        if denom < EPS_ORTH:
-            raise InvalidRecordError(
-                f"1 + r_i.r_f = {denom} is below the orthogonality guard"
-            )
-        if not self.dt > 0.0:
-            raise InvalidRecordError(f"dt must be positive, got {self.dt}")
-        if not abs(self.expectation) <= 1.0 + 1e-9:  # NaN fails this too
-            raise InvalidRecordError(
-                f"expectation {self.expectation} outside [-1, 1]"
-            )
+        _freeze_rows(self, ("r_i", "r_f", "p", "q"), ("dt", "expectation"))
+        e = self.expectation
+        with np.errstate(invalid="ignore", over="ignore"):
+            denom = 1.0 + _dot3(self.r_i, self.r_f)
+            # prepared states must lie in the Bloch ball; a measured r_f is
+            # not checked, since simulated noise can push it just outside
+            _check_rows("records", [
+                *_state_checks(self.r_i, "r_i", bloch=True),
+                *_state_checks(self.r_f, "r_f"),
+                *_state_checks(self.p, "p", bloch=True),
+                *_state_checks(self.q, "q"),
+                (denom < EPS_ORTH, InvalidRecordError,
+                 lambda k: f"1 + r_i.r_f = {denom[k]} is below the orthogonality guard"),
+                (~(self.dt > 0.0), InvalidRecordError,
+                 lambda k: f"dt must be positive, got {self.dt[k]}"),
+                (~(np.abs(e) <= 1.0 + 1e-9), InvalidRecordError,  # NaN fails this too
+                 lambda k: f"expectation {e[k]} outside [-1, 1]"),
+            ])
+
+    def __len__(self) -> int:
+        return len(self.dt)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,46 +114,28 @@ class EstimationResult:
     residual_norm: float
 
 
-def record_from_run(run: ProtocolRun, outcome: RunOutcome) -> ExperimentRecord:
-    """Pack a forward-simulated run and its outcome into a record."""
-    return ExperimentRecord(
-        r_i=run.r_i,
-        r_f=outcome.r_f,
-        p=run.p,
-        q=outcome.q,
-        dt=run.dt,
-        expectation=outcome.expectation,
-    )
-
-
 def simulate_records(
-    runs,
+    runs: Runs,
     g: CouplingTensor,
     locals_: LocalHamiltonians | None,
     noise: float,
     rng: np.random.Generator,
-) -> list[ExperimentRecord]:
+) -> Records:
     """Forward-simulate runs into records, optionally with Gaussian noise.
 
     All runs go through one engine call, each at its own dt.  Noise
     (std = noise) perturbs each r_f and then the expectation, which is
-    clipped to [-1, 1]; draws are taken from rng in run order.
+    clipped to [-1, 1]: one (N, 4) draw from rng whose row k holds run
+    k's three r_f draws and then its expectation draw.
     """
-    runs = list(runs)
-    if not runs:
-        return []
-    r_i, p, q_tilde, dts = (
-        np.array([getattr(run, k) for run in runs]) for k in ("r_i", "p", "q_tilde", "dt")
+    r_f, q, expectation = run_protocol(runs, g, locals_)
+    if noise > 0.0:
+        draws = rng.normal(scale=noise, size=(len(runs), 4))
+        r_f = r_f + draws[:, :3]
+        expectation = np.clip(expectation + draws[:, 3], -1.0, 1.0)
+    return Records(
+        r_i=runs.r_i, r_f=r_f, p=runs.p, q=q, dt=runs.dt, expectation=expectation
     )
-    r_f, q, exp_vals = run_protocol_series(r_i, p, q_tilde, g, locals_, dts[:, None])
-    records = []
-    for run, r_f_k, q_k, exp_val in zip(runs, r_f[:, 0], q[:, 0], exp_vals[:, 0]):
-        exp_val = float(exp_val)
-        if noise > 0.0:
-            r_f_k = r_f_k + rng.normal(scale=noise, size=3)
-            exp_val = float(np.clip(exp_val + rng.normal(scale=noise), -1.0, 1.0))
-        records.append(record_from_run(run, RunOutcome(r_f_k, q_k, exp_val)))
-    return records
 
 
 def build_rows(r_i, r_f, p, q) -> np.ndarray:
@@ -155,26 +148,16 @@ def build_rows(r_i, r_f, p, q) -> np.ndarray:
     return np.ascontiguousarray(np.where(a == b, c[:, a, b], c[:, a, b] + c[:, b, a]))
 
 
-def build_row(rec: ExperimentRecord) -> np.ndarray:
-    """Sensitivity row mapping the six tensor components to zeta."""
-    return build_rows(rec.r_i[None], rec.r_f[None], rec.p[None], rec.q[None])[0]
-
-
-def build_system(records) -> tuple[np.ndarray, np.ndarray]:
+def build_system(records: Records) -> tuple[np.ndarray, np.ndarray]:
     """Assemble the k x 6 design matrix and scaled-signal vector."""
-    records = list(records)
     if len(records) < 6:
         raise InsufficientDataError(
             f"need at least 6 records, got {len(records)}"
         )
-    r_i, r_f, p, q = (
-        np.array([getattr(rec, name) for rec in records]) for name in ("r_i", "r_f", "p", "q")
-    )
-    dt = np.array([rec.dt for rec in records])
-    expectation = np.array([rec.expectation for rec in records])
-    denom = 1.0 + np.matmul(r_i[:, None, :], r_f[:, :, None])[:, 0, 0]
-    qp = np.matmul(q[:, None, :], p[:, :, None])[:, 0, 0]
-    zeta = (expectation - qp) * denom / (2.0 * dt)
+    r_i, r_f, p, q = records.r_i, records.r_f, records.p, records.q
+    # fixed-order dot products: a BLAS product's bits depend on its kernel
+    denom = 1.0 + _dot3(r_i, r_f)
+    zeta = (records.expectation - _dot3(q, p)) * denom / (2.0 * records.dt)
     return build_rows(r_i, r_f, p, q), zeta
 
 

@@ -10,20 +10,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .core import InvalidStateError, ParameterError
+from .core import ParameterError
 from .design import DENT_THRESHOLD_DEFAULT, GRID_DEFAULT, T_MAX_DEFAULT, grid_times
-from .estimator import EstimationResult, ExperimentRecord, KAPPA_MAX_DEFAULT
-from .protocol import (
-    OMEGA_LABELS,
-    CouplingTensor,
-    LocalHamiltonians,
-    ProtocolRun,
-    _field_of,
-)
+from .estimator import KAPPA_MAX_DEFAULT, EstimationResult, Records
+from .protocol import OMEGA_LABELS, CouplingTensor, LocalHamiltonians, Runs, _field_of
 
 TOOL_VERSION = "0.1.0"
 
@@ -42,11 +37,22 @@ class ScenarioOptions:
     grid: tuple[float, float, float] = GRID_DEFAULT  # start, stop, step
     kappa_max: float = KAPPA_MAX_DEFAULT
 
+    def __post_init__(self):
+        # grid is validated where it is parsed, by parse_grid_spec
+        if not self.seed >= 0:
+            raise ParameterError(f"option seed must be >= 0, got {self.seed}")
+        if not 0.0 <= self.noise < math.inf:
+            raise ParameterError(f"option noise must be finite and >= 0, got {self.noise}")
+        for name in ("dent_threshold", "kappa_max"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ParameterError(f"option {name} must be finite and positive, got {value}")
+
 
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     coupling: CouplingTensor
-    runs: tuple[ProtocolRun, ...]
+    runs: Runs
     locals_: LocalHamiltonians = field(default_factory=LocalHamiltonians.zero)
     options: ScenarioOptions = field(default_factory=ScenarioOptions)
 
@@ -107,6 +113,35 @@ def parse_grid_spec(spec) -> tuple[float, float, float]:
     return start, stop, step
 
 
+_NUMBER_KEYS = ("dt", "expectation")
+_RUN_KEYS = ("r_i", "p", "q", "dt")
+_RECORD_KEYS = ("r_i", "r_f", "p", "q", "dt", "expectation")
+
+
+def _columns(docs: list, keys: tuple[str, ...], name: str) -> list[np.ndarray]:
+    """One array per key from a list of row objects: (N, 3) vectors, (N,) numbers.
+
+    Each row is parsed with _vector or _number, and a structural fault
+    raises ConfigError naming the row as name[i].
+    """
+    columns = [[] for _ in keys]
+    for i, row in enumerate(docs):
+        where = f"{name}[{i}]"
+        if not isinstance(row, dict):
+            raise ConfigError(f"{where} must be an object")
+        _reject_unknown(row, set(keys), where)
+        for key in keys:
+            if key not in row:
+                raise ConfigError(f"{where} missing '{key}'")
+        for key, column in zip(keys, columns):
+            parse = _number if key in _NUMBER_KEYS else _vector
+            column.append(parse(row[key], f"{where}.{key}"))
+    return [
+        np.array(column, dtype=float).reshape((-1,) if key in _NUMBER_KEYS else (-1, 3))
+        for key, column in zip(keys, columns)
+    ]
+
+
 def _option(key: str, value):
     """A config option's value, parsed as its ScenarioOptions field."""
     if key == "grid":
@@ -142,33 +177,13 @@ def parse_config(doc: dict) -> ScenarioConfig:
     runs_doc = doc["runs"]
     if not isinstance(runs_doc, list) or not runs_doc:
         raise ConfigError("'runs' must be a non-empty list")
-    runs = []
-    for i, run_doc in enumerate(runs_doc):
-        where = f"runs[{i}]"
-        if not isinstance(run_doc, dict):
-            raise ConfigError(f"{where} must be an object")
-        _reject_unknown(run_doc, {"r_i", "p", "q", "dt"}, where)
-        for key in ("r_i", "p", "q", "dt"):
-            if key not in run_doc:
-                raise ConfigError(f"{where} missing '{key}'")
-        try:
-            runs.append(
-                ProtocolRun(
-                    r_i=_vector(run_doc["r_i"], f"{where}.r_i"),
-                    p=_vector(run_doc["p"], f"{where}.p"),
-                    q_tilde=_vector(run_doc["q"], f"{where}.q"),
-                    dt=_number(run_doc["dt"], f"{where}.dt"),
-                )
-            )
-        except (InvalidStateError, ParameterError) as exc:
-            # keep the exception type (invariant violation, not a parse
-            # error) but name the offending run
-            raise type(exc)(f"{where}: {exc}") from exc
+    r_i, p, q, dt = _columns(runs_doc, _RUN_KEYS, "runs")
+    runs = Runs(r_i=r_i, p=p, q_tilde=q, dt=dt)
 
     options_doc = _object(doc.get("options", {}), "options")
     _reject_unknown(options_doc, {f.name for f in fields(ScenarioOptions)}, "options")
     options = ScenarioOptions(**{key: _option(key, value) for key, value in options_doc.items()})
-    return ScenarioConfig(coupling=coupling, runs=tuple(runs), locals_=locals_, options=options)
+    return ScenarioConfig(coupling=coupling, runs=runs, locals_=locals_, options=options)
 
 
 def _load_json(path: str) -> tuple[object, str]:
@@ -199,17 +214,18 @@ def config_to_doc(config: ScenarioConfig) -> dict:
             "target": _field_of(config.locals_.h_target).tolist(),
             "probe": _field_of(config.locals_.h_probe).tolist(),
         },
-        "runs": [
-            {
-                "r_i": run.r_i.tolist(),
-                "p": run.p.tolist(),
-                "q": run.q_tilde.tolist(),
-                "dt": run.dt,
-            }
-            for run in config.runs
-        ],
+        "runs": runs_to_doc(config.runs),
         "options": asdict(config.options),
     }
+
+
+def _rows_to_doc(keys: tuple[str, ...], arrays) -> list[dict]:
+    return [dict(zip(keys, row)) for row in zip(*(a.tolist() for a in arrays))]
+
+
+def runs_to_doc(runs: Runs) -> list[dict]:
+    """The runs as config rows {"r_i", "p", "q", "dt"}."""
+    return _rows_to_doc(_RUN_KEYS, (runs.r_i, runs.p, runs.q_tilde, runs.dt))
 
 
 def dump_json(doc: dict) -> str:
@@ -221,60 +237,24 @@ def save_config(config: ScenarioConfig, path: str) -> None:
         fh.write(dump_json(config_to_doc(config)))
 
 
-def records_to_doc(records, meta: dict | None = None) -> dict:
-    doc = {
-        "records": [
-            {
-                "r_i": rec.r_i.tolist(),
-                "r_f": rec.r_f.tolist(),
-                "p": rec.p.tolist(),
-                "q": rec.q.tolist(),
-                "dt": rec.dt,
-                "expectation": rec.expectation,
-            }
-            for rec in records
-        ]
-    }
+def records_to_doc(records: Records, meta: dict | None = None) -> dict:
+    doc = {"records": _rows_to_doc(_RECORD_KEYS, (getattr(records, k) for k in _RECORD_KEYS))}
     if meta is not None:
         doc["meta"] = meta
     return doc
 
 
-def parse_records(doc: dict) -> list[ExperimentRecord]:
+def parse_records(doc: dict) -> Records:
     if not isinstance(doc, dict):
         raise ConfigError("record file root must be an object")
     _reject_unknown(doc, {"records", "meta"}, "record file")
     records_doc = doc.get("records")
     if not isinstance(records_doc, list):
         raise ConfigError("'records' must be a list")
-    records = []
-    for i, rec_doc in enumerate(records_doc):
-        where = f"records[{i}]"
-        if not isinstance(rec_doc, dict):
-            raise ConfigError(f"{where} must be an object")
-        _reject_unknown(
-            rec_doc, {"r_i", "r_f", "p", "q", "dt", "expectation"}, where
-        )
-        for key in ("r_i", "r_f", "p", "q", "dt", "expectation"):
-            if key not in rec_doc:
-                raise ConfigError(f"{where} missing '{key}'")
-        try:
-            records.append(
-                ExperimentRecord(
-                    r_i=_vector(rec_doc["r_i"], f"{where}.r_i"),
-                    r_f=_vector(rec_doc["r_f"], f"{where}.r_f"),
-                    p=_vector(rec_doc["p"], f"{where}.p"),
-                    q=_vector(rec_doc["q"], f"{where}.q"),
-                    dt=_number(rec_doc["dt"], f"{where}.dt"),
-                    expectation=_number(rec_doc["expectation"], f"{where}.expectation"),
-                )
-            )
-        except (InvalidStateError, ParameterError) as exc:
-            raise type(exc)(f"{where}: {exc}") from exc
-    return records
+    return Records(*_columns(records_doc, _RECORD_KEYS, "records"))
 
 
-def load_records_file(path: str) -> tuple[list[ExperimentRecord], dict, str]:
+def load_records_file(path: str) -> tuple[Records, dict, str]:
     """Records, 'meta' block (empty when absent) and sha256 of a record file.
 
     All three come from one read, so the digest describes the bytes that
@@ -286,7 +266,7 @@ def load_records_file(path: str) -> tuple[list[ExperimentRecord], dict, str]:
     return records, meta if isinstance(meta, dict) else {}, sha256
 
 
-def load_records(path: str) -> list[ExperimentRecord]:
+def load_records(path: str) -> Records:
     return load_records_file(path)[0]
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import error_stats, estimate_tensor, simulate_records
-from .protocol import CouplingTensor, LocalHamiltonians, ProtocolRun
+from .protocol import CouplingTensor, LocalHamiltonians, Runs
 
 NV_COUPLING_MHZ = np.array(
     [
@@ -57,12 +57,11 @@ def nv_coupling() -> CouplingTensor:
     return CouplingTensor.from_matrix(NV_COUPLING_MHZ)
 
 
-def nv_runs(dt_scale: float = 1.0) -> list[ProtocolRun]:
+def nv_runs(dt_scale: float = 1.0) -> Runs:
     """The six parameter sets with vectors re-normalized to unit length."""
-    return [
-        ProtocolRun(r_i=_unit(r_i), p=_unit(p), q_tilde=_unit(q), dt=dt * dt_scale)
-        for r_i, p, q, dt in NV_PARAMETER_ROWS
-    ]
+    r_i, p, q = (np.array([_unit(row[k]) for row in NV_PARAMETER_ROWS]) for k in range(3))
+    dt = np.array([row[3] for row in NV_PARAMETER_ROWS]) * dt_scale
+    return Runs(r_i=r_i, p=p, q_tilde=q, dt=dt)
 
 
 def _unit(v) -> np.ndarray:

@@ -38,6 +38,10 @@ where n_mu is the mu-th column of g.  The bracketed combination is the
 real/imaginary split of the spin weak value
 (r_i + r_f + i r_i x r_f)/(1 + r_i.r_f), which diverges for orthogonal
 pre/post-selection; operations guard the denominator with EPS_ORTH.
+
+Runs holds the controlled parameters of N runs as arrays, one run per
+row, validated once when built; a fault names its first bad row as
+runs[k].  A single run is a one-row stack.
 """
 
 from __future__ import annotations
@@ -80,15 +84,6 @@ def _as_vec3(v, name: str) -> np.ndarray:
         raise InvalidStateError(f"{name} has non-finite components")
     v = v.copy()
     v.flags.writeable = False
-    return v
-
-
-def _as_bloch(v, name: str) -> np.ndarray:
-    """_as_vec3 of a state's Bloch vector: its norm must not exceed 1."""
-    v = _as_vec3(v, name)
-    norm = np.sqrt(v @ v)  # what np.linalg.norm computes, without its overhead
-    if norm > 1.0 + BLOCH_NORM_ATOL:
-        raise InvalidStateError(f"{name} norm {norm} exceeds 1")
     return v
 
 
@@ -175,44 +170,81 @@ class LocalHamiltonians:
         return not (np.any(self.h_target) or np.any(self.h_probe))
 
 
-@dataclass(frozen=True, eq=False)
-class ProtocolRun:
-    """Controlled parameters of one protocol execution.
+def _freeze_rows(obj, vectors: tuple[str, ...], scalars: tuple[str, ...]) -> None:
+    """Set obj's fields to read-only float copies: vectors (N, 3), scalars (N,)."""
+    n = None
+    for name in vectors + scalars:
+        v = np.array(getattr(obj, name), dtype=float)
+        if n is None:
+            if v.ndim != 2 or v.shape[1] != 3:
+                raise DimensionMismatchError(
+                    f"{name} must be an (N, 3) stack, got shape {v.shape}"
+                )
+            n = len(v)
+        want = (n, 3) if name in vectors else (n,)
+        if v.shape != want:
+            raise DimensionMismatchError(f"{name} must have shape {want}, got {v.shape}")
+        v.flags.writeable = False
+        object.__setattr__(obj, name, v)
 
-    r_i and p are the target/probe preparation Bloch vectors (norm <= 1),
-    q_tilde the unit measurement axis in the lab frame, dt the
-    interaction time in us.
+
+def _state_checks(v: np.ndarray, name: str, *, bloch: bool = False) -> list:
+    """Row checks of an (N, 3) stack: finite components and, for a state, norm <= 1."""
+    checks = [(~np.isfinite(v).all(axis=1), InvalidStateError,
+               lambda k: f"{name} has non-finite components")]
+    if bloch:
+        norm = np.sqrt(_dot3(v, v))
+        checks.append((norm > 1.0 + BLOCH_NORM_ATOL, InvalidStateError,
+                       lambda k: f"{name} norm {norm[k]} exceeds 1"))
+    return checks
+
+
+def _check_rows(label: str, checks) -> None:
+    """Raise for the first row that fails a check, as "label[k]: ...".
+
+    checks lists (bad, error, message) in the order a one-row validation
+    runs them: bad is an (N,) mask, error the exception type and
+    message(k) the text for row k.  The first row's first failing check
+    is raised.
+    """
+    bad = np.logical_or.reduce([c[0] for c in checks])
+    if bad.any():
+        k = int(np.argmax(bad))
+        _, error, message = next(c for c in checks if c[0][k])
+        raise error(f"{label}[{k}]: {message(k)}")
+
+
+@dataclass(frozen=True, eq=False)
+class Runs:
+    """Controlled parameters of N protocol executions, one run per row.
+
+    r_i and p are the target/probe preparation Bloch vectors (norm <= 1)
+    and q_tilde the unit measurement axes in the lab frame, each (N, 3);
+    dt holds the interaction times in us, (N,).  A single run is a
+    one-row stack.
     """
 
     r_i: np.ndarray
     p: np.ndarray
     q_tilde: np.ndarray
-    dt: float
+    dt: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "r_i", _as_bloch(self.r_i, "r_i"))
-        object.__setattr__(self, "p", _as_bloch(self.p, "p"))
-        object.__setattr__(self, "q_tilde", _as_vec3(self.q_tilde, "q_tilde"))
-        object.__setattr__(self, "dt", float(self.dt))
-        q_norm = np.linalg.norm(self.q_tilde)
-        if abs(q_norm - 1.0) > BLOCH_NORM_ATOL:
-            raise InvalidStateError(f"q_tilde norm {q_norm} is not 1")
-        if not self.dt > 0.0:
-            raise ParameterError(f"dt must be positive, got {self.dt}")
+        _freeze_rows(self, ("r_i", "p", "q_tilde"), ("dt",))
+        with np.errstate(invalid="ignore", over="ignore"):
+            q_norm = np.sqrt(_dot3(self.q_tilde, self.q_tilde))
+            _check_rows("runs", [
+                *_state_checks(self.r_i, "r_i", bloch=True),
+                *_state_checks(self.p, "p", bloch=True),
+                *_state_checks(self.q_tilde, "q_tilde"),
+                (np.abs(q_norm - 1.0) > BLOCH_NORM_ATOL, InvalidStateError,
+                 lambda k: f"q_tilde norm {q_norm[k]} is not 1"),
+                (~(self.dt > 0.0), ParameterError,
+                 lambda k: f"dt must be positive, got {self.dt[k]}"),
+            ])
 
-
-@dataclass(frozen=True, eq=False)
-class RunOutcome:
-    """Measured data of one run, after local-dynamics removal.
-
-    r_f is the corrected post-selected target Bloch vector, q the
-    corrected measurement axis and expectation the measured probe value
-    E(q.sigma_p).
-    """
-
-    r_f: np.ndarray
-    q: np.ndarray
-    expectation: float
+    def __len__(self) -> int:
+        return len(self.dt)
 
 
 def build_interaction(g: CouplingTensor) -> np.ndarray:
@@ -259,21 +291,24 @@ def _spectrum(g: CouplingTensor, locals_: LocalHamiltonians | None):
 
 
 def run_protocol(
-    run: ProtocolRun,
+    runs: Runs,
     g: CouplingTensor,
     locals_: LocalHamiltonians | None = None,
-) -> RunOutcome:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Execute preparation, entangling evolution, readout and correction.
 
-    The probe expectation is measured along the lab axis q_tilde; the
-    returned (r_f, q) are the post-selected target state and measurement
-    axis with the known single-spin rotations undone, so they feed the
-    response model directly.  With zero local Hamiltonians q == q_tilde
-    and r_f is the raw tomography result.  This is the one-run, one-time
-    case of run_protocol_series.
+    Each run is evolved for its own dt.  The probe expectation is
+    measured along the lab axis q_tilde; the returned r_f[N,3] and
+    q[N,3] are the post-selected target states and measurement axes with
+    the known single-spin rotations undone, so they feed the response
+    model directly, with expectation[N].  With zero local Hamiltonians
+    q == q_tilde and r_f is the raw tomography result.  This is the
+    per-run-times case of run_protocol_series, with one time per run.
     """
-    r_f, q, exp_vals = run_protocol_series(run.r_i, run.p, run.q_tilde, g, locals_, [run.dt])
-    return RunOutcome(r_f=r_f[0], q=q[0], expectation=float(exp_vals[0]))
+    r_f, q, exp_vals = run_protocol_series(
+        runs.r_i, runs.p, runs.q_tilde, g, locals_, runs.dt[:, None]
+    )
+    return r_f[:, 0], q[:, 0], exp_vals[:, 0]
 
 
 def _vec3_rows(v, name: str) -> np.ndarray:
@@ -295,7 +330,7 @@ def _pauli_rows(v: np.ndarray) -> np.ndarray:
 
 def _densities(v: np.ndarray, name: str) -> np.ndarray:
     """Stacked (I + v.sigma)/2 for the rows of v."""
-    norm = np.sqrt(_dot3(v, v).max())
+    norm = np.sqrt(_dot3(v, v).max(initial=0.0))
     if norm > 1.0 + BLOCH_NORM_ATOL:
         raise InvalidStateError(f"{name} norm {norm} exceeds 1")
     return (IDENTITY_2 + _pauli_rows(v)) / 2.0
@@ -402,7 +437,7 @@ def run_protocol_series(
     if len(p) != n or len(q_tilde) != n:
         raise DimensionMismatchError("r_i, p and q_tilde must stack the same number of runs")
     times = np.asarray(times, dtype=float)
-    if times.ndim not in (1, 2) or times.size == 0 or (times.ndim == 2 and len(times) != n):
+    if times.ndim not in (1, 2) or times.shape[-1] == 0 or (times.ndim == 2 and len(times) != n):
         raise ParameterError(f"times must be non-empty, (T,) or ({n}, T), got shape {times.shape}")
     if not np.all(times > 0.0):
         raise ParameterError("all times must be positive")
@@ -451,25 +486,6 @@ def weak_value_sigma(r_i, r_f) -> np.ndarray:
     return (r_i + r_f + 1j * np.cross(r_i, r_f)) / denom
 
 
-def first_order_expectation(r_i, r_f, p, q, dt: float, g: CouplingTensor) -> float:
-    """Linear response model for the corrected probe expectation.
-
-    Evaluates q.p plus the weak-value correction linear in the coupling
-    tensor; reduces to q.p at g = 0 and matches the exact dynamics to
-    first order in dt for pure pre-selected states.
-    """
-    return float(
-        first_order_series(
-            r_i,
-            np.asarray(r_f, dtype=float)[None, :],
-            p,
-            np.asarray(q, dtype=float)[None, :],
-            np.array([dt], dtype=float),
-            g,
-        )[0]
-    )
-
-
 def _first_order(r_i, r_f, p, q, times, g: CouplingTensor):
     """first_order_series without its guard: the (N, T) model and 1 + r_i.r_f.
 
@@ -507,8 +523,11 @@ def _first_order(r_i, r_f, p, q, times, g: CouplingTensor):
 
 
 def first_order_series(r_i, r_f, p, q, times, g: CouplingTensor) -> np.ndarray:
-    """Vectorized first_order_expectation over per-time (r_f, q) arrays.
+    """Linear response model for the corrected probe expectation.
 
+    Evaluates q.p plus the weak-value correction linear in the coupling
+    tensor at per-time (r_f, q); reduces to q.p at g = 0 and matches the
+    exact dynamics to first order in dt for pure pre-selected states.
     r_i and p are 3-vectors with r_f and q of shape (T, 3), returning
     (T,); or (N, 3) stacks with r_f and q of shape (N, T, 3), returning
     (N, T).  Each entry is bit-for-bit that of a one-run, one-time call.

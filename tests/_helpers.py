@@ -3,13 +3,16 @@
 The oracles deliberately avoid the library's code paths: partial traces
 by explicit index summation, matrix exponentials by truncated series,
 weak values by explicit spinors, sensitivities by finite differences.
+The one-run shorthands at the end do call the library: they are row 0
+of its stacked calls.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from weakspin import CouplingTensor
+from weakspin import CouplingTensor, Records, Runs, run_protocol
+from weakspin.protocol import first_order_series
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -169,3 +172,23 @@ def strict_local_minima(times, values, t_min):
         for i in range(1, len(times) - 1)
         if times[i] >= t_min and values[i] < values[i - 1] and values[i] < values[i + 1]
     }
+
+
+def one_run(r_i, p, q_tilde, dt) -> Runs:
+    return Runs(r_i=[r_i], p=[p], q_tilde=[q_tilde], dt=[dt])
+
+
+def run_one(r_i, p, q_tilde, dt, g, locals_=None):
+    """(r_f, q, expectation) of one run at dt: row 0 of run_protocol."""
+    r_f, q, expectation = run_protocol(one_run(r_i, p, q_tilde, dt), g, locals_)
+    return r_f[0], q[0], float(expectation[0])
+
+
+def model_one(r_i, r_f, p, q, dt, g) -> float:
+    """The first-order model at one (run, time): entry 0 of a one-time series."""
+    return float(first_order_series(r_i, [r_f], p, [q], [dt], g)[0])
+
+
+def records_of(rows) -> Records:
+    """Records from (r_i, r_f, p, q, dt, expectation) rows."""
+    return Records(*(np.array(column, dtype=float) for column in zip(*rows)))

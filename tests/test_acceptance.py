@@ -18,6 +18,7 @@ implementation (convergence order, closed-loop exactness, designed
 round trips, oracle agreement).
 """
 
+import dataclasses
 import math
 import time
 
@@ -26,33 +27,31 @@ import pytest
 
 from weakspin import (
     CouplingTensor,
-    ExperimentRecord,
-    ProtocolRun,
-    build_row,
     correction_curve,
     estimate_tensor,
     find_dents,
-    first_order_expectation,
     grid_times,
     herm_exp,
     partial_trace,
-    record_from_run,
-    run_protocol,
     sample_designs,
     weak_horizon,
     weak_value_sigma,
 )
 from weakspin import nv
 from weakspin.design import DENT_THRESHOLD_DEFAULT, DT_MIN_DEFAULT
+from weakspin.estimator import build_rows, simulate_records
 
 from _helpers import (
     expm_series,
     model_error_by_series,
+    model_one,
     ptrace_by_index_sum,
     random_coupling,
     random_density,
     random_hermitian,
     random_unit,
+    records_of,
+    run_one,
     strict_local_minima,
     weak_value_by_spinors,
 )
@@ -101,10 +100,10 @@ def test_criterion_1_nv_reproduction():
     fine = grid_times((HORIZON_GRID_STEP, HORIZON_GRID_STOP, HORIZON_GRID_STEP))
     runs = nv.nv_runs()
     horizons = []
-    for run in runs:
-        curve = correction_curve(run.r_i, run.p, run.q_tilde, g, times=fine)
+    for r_i, p, q_tilde, dt in zip(runs.r_i, runs.p, runs.q_tilde, runs.dt):
+        curve = correction_curve(r_i, p, q_tilde, g, times=fine)
         horizons.append(weak_horizon(curve, DENT_THRESHOLD_DEFAULT))
-        print(f"  listed dt={run.dt:.3f} us, weak horizon={_fmt(horizons[-1], 5)} us")
+        print(f"  listed dt={dt:.3f} us, weak horizon={_fmt(horizons[-1], 5)} us")
     # a horizon at the grid's end is cut off by the grid, not resolved
     if not all(h is not None and h < fine[-1] for h in horizons):
         _verdict("1 NV reproduction", False, "weak horizons not resolved")
@@ -112,8 +111,8 @@ def test_criterion_1_nv_reproduction():
             f"weak horizons {horizons} are not resolved on a {HORIZON_GRID_STEP} us"
             f" grid over (0, {HORIZON_GRID_STOP}] us"
         )
-    start = min(h / run.dt for h, run in zip(horizons, runs))
-    beyond = sum(run.dt > h for h, run in zip(horizons, runs))
+    start = min(h / dt for h, dt in zip(horizons, runs.dt))
+    beyond = sum(dt > h for h, dt in zip(horizons, runs.dt))
     print(f"  halvings start at dt scale {start:.5f}")
     means, stds = [], []
     for s in start / 2.0 ** np.arange(HALVINGS):
@@ -159,11 +158,12 @@ def test_criterion_2_dent_positions():
     grid = grid_times()  # 1e-3 steps over (0, 0.2]
     published_matches = []
     failures = []
-    for row, (run, (_, _, _, dt_listed)) in enumerate(
-        zip(nv.nv_runs(), nv.NV_PARAMETER_ROWS), start=1
+    runs = nv.nv_runs()
+    for row, (r_i, p, q_tilde, (_, _, _, dt_listed)) in enumerate(
+        zip(runs.r_i, runs.p, runs.q_tilde, nv.NV_PARAMETER_ROWS), start=1
     ):
-        curve = correction_curve(run.r_i, run.p, run.q_tilde, g, times=grid)
-        oracle = model_error_by_series(run.r_i, run.p, run.q_tilde, g.matrix, grid)
+        curve = correction_curve(r_i, p, q_tilde, g, times=grid)
+        oracle = model_error_by_series(r_i, p, q_tilde, g.matrix, grid)
         lib_minima = {float(t) for t in find_dents(curve, threshold=np.inf)}
         oracle_minima = strict_local_minima(grid, oracle, DT_MIN_DEFAULT)
         gap = float(np.abs(curve.values - oracle).max())
@@ -229,9 +229,8 @@ def test_criterion_3_first_order_convergence():
         for _ in range(12):
             gaps = []
             for t in (dt, dt / 2.0):
-                out = run_protocol(ProtocolRun(r_i=r_i, p=p, q_tilde=q, dt=t), g)
-                model = first_order_expectation(r_i, out.r_f, p, out.q, t, g)
-                gaps.append(abs(out.expectation - model))
+                r_f, q_t, e = run_one(r_i, p, q, t, g)
+                gaps.append(abs(e - model_one(r_i, r_f, p, q_t, t, g)))
             ratio = gaps[0] / gaps[1]
             if 3.5 <= ratio <= 4.5 or gaps[1] < 1e-13:
                 break
@@ -260,13 +259,11 @@ def test_criterion_4_closed_loop_exactness():
             if 1.0 + r_i @ r_f < 0.2:
                 continue
             dt = rng.uniform(0.02, 0.1)
-            e = first_order_expectation(r_i, r_f, p, q, dt, g)
+            e = model_one(r_i, r_f, p, q, dt, g)
             if abs(e) > 1.0:
                 continue
-            records.append(
-                ExperimentRecord(r_i=r_i, r_f=r_f, p=p, q=q, dt=dt, expectation=e)
-            )
-        result = estimate_tensor(records)
+            records.append((r_i, r_f, p, q, dt, e))
+        result = estimate_tensor(records_of(records))
         if result.condition_number > 1e6:
             continue
         trials += 1
@@ -290,16 +287,11 @@ def test_criterion_5_exact_dynamics_round_trip():
         )[0]
 
         def _invert(runs):
-            records = [record_from_run(r, run_protocol(r, g)) for r in runs]
+            records = simulate_records(runs, g, None, 0.0, np.random.default_rng(0))
             return estimate_tensor(records).g_est.values
 
         est_full = _invert(best.runs)
-        est_half = _invert(
-            [
-                ProtocolRun(r_i=r.r_i, p=r.p, q_tilde=r.q_tilde, dt=r.dt / 2.0)
-                for r in best.runs
-            ]
-        )
+        est_half = _invert(dataclasses.replace(best.runs, dt=best.runs.dt / 2.0))
         err_full = np.abs(est_full - g.values).max()
         err_half = np.abs(est_half - g.values).max()
         rel = err_full / np.abs(g.values).max()
@@ -356,10 +348,8 @@ def test_criterion_6_oracle_suite():
         if 1.0 + r_i @ r_f < 0.2:
             continue
         dt = rng.uniform(0.02, 0.1)
-        rec = ExperimentRecord(
-            r_i=r_i, r_f=r_f, p=p, q=q, dt=dt, expectation=0.0
-        )
-        row = build_row(rec)
+        rec = records_of([(r_i, r_f, p, q, dt, 0.0)])
+        row = build_rows(rec.r_i, rec.r_f, rec.p, rec.q)[0]
         denom = 1.0 + float(r_i @ r_f)
         base = rng.uniform(-5.0, 5.0, size=6)
         for j in range(6):
@@ -367,8 +357,8 @@ def test_criterion_6_oracle_suite():
             plus[j] += h_step
             minus[j] -= h_step
             df = (
-                first_order_expectation(r_i, r_f, p, q, dt, CouplingTensor(plus))
-                - first_order_expectation(r_i, r_f, p, q, dt, CouplingTensor(minus))
+                model_one(r_i, r_f, p, q, dt, CouplingTensor(plus))
+                - model_one(r_i, r_f, p, q, dt, CouplingTensor(minus))
             ) / (2.0 * h_step)
             worst_row = max(
                 worst_row, abs(row[j] - df * denom / (2.0 * dt))

@@ -6,13 +6,13 @@ import sys
 import numpy as np
 import pytest
 
-from weakspin import CouplingTensor, first_order_expectation, sample_designs
+from weakspin import CouplingTensor, sample_designs
 from weakspin import cli
 from weakspin.cli import build_parser, main
 from weakspin.fileio import dump_json, load_records
 from weakspin.protocol import OMEGA_LABELS
 
-from _helpers import random_unit
+from _helpers import model_one, random_unit
 
 NV_DOC = {
     "coupling_mhz": {
@@ -54,7 +54,7 @@ def test_simulate_writes_expected_dt_column(nv_config, tmp_path):
     out = tmp_path / "records.json"
     assert main(["simulate", "--config", nv_config, "--out", str(out)]) == 0
     records = load_records(str(out))
-    assert [rec.dt for rec in records] == [0.091, 0.086, 0.073, 0.069, 0.066, 0.051]
+    assert records.dt.tolist() == [0.091, 0.086, 0.073, 0.069, 0.066, 0.051]
 
 
 def test_simulate_zero_coupling_keeps_inner_product(tmp_path):
@@ -63,8 +63,9 @@ def test_simulate_zero_coupling_keeps_inner_product(tmp_path):
     config = _write(tmp_path, "zero.json", doc)
     out = tmp_path / "records.json"
     assert main(["simulate", "--config", config, "--out", str(out)]) == 0
-    for rec in load_records(str(out)):
-        assert rec.expectation == pytest.approx(float(rec.q @ rec.p), abs=1e-12)
+    records = load_records(str(out))
+    for q, p, expectation in zip(records.q, records.p, records.expectation):
+        assert expectation == pytest.approx(float(q @ p), abs=1e-12)
 
 
 def test_simulate_deterministic_bytes(nv_config, tmp_path):
@@ -126,7 +127,7 @@ def test_estimate_exact_on_model_synthesized_records(tmp_path):
         if 1.0 + r_i @ r_f < 0.2:
             continue
         dt = rng.uniform(0.02, 0.08)
-        e = first_order_expectation(r_i, r_f, p, q, dt, g)
+        e = model_one(r_i, r_f, p, q, dt, g)
         if abs(e) > 1.0:
             continue
         records.append(
@@ -227,6 +228,62 @@ def test_non_numeric_record_field_is_parse_error(nv_config, tmp_path, capsys, ke
     bad.write_text(dump_json(doc), encoding="utf-8")
     assert main(["estimate", "--records", str(bad), "--out", "-"]) == 2
     assert f"records[2].{key}" in capsys.readouterr().err
+
+
+OPTION_FAULTS = [
+    pytest.param(["simulate", "--noise", "nan"], {}, "noise", id="simulate-noise-nan"),
+    pytest.param(["simulate", "--noise", "-0.5"], {}, "noise", id="simulate-noise-negative"),
+    pytest.param(["simulate"], {"noise": float("nan")}, "noise", id="config-noise-nan"),
+    pytest.param(["simulate", "--seed", "-1"], {}, "seed", id="simulate-seed-negative"),
+    pytest.param(["simulate"], {"seed": -2}, "seed", id="simulate-config-seed-negative"),
+    pytest.param(["design", "--count", "1", "--seed", "-1"], {}, "seed",
+                 id="design-seed-negative"),
+    pytest.param(["design", "--count", "1"], {"seed": -1}, "seed", id="design-config-seed-negative"),
+    pytest.param(["design", "--count", "1", "--threshold", "nan"], {}, "dent_threshold",
+                 id="design-threshold-nan"),
+    pytest.param(["curve", "--run-index", "0", "--threshold", "nan"], {}, "dent_threshold",
+                 id="curve-threshold-nan"),
+    pytest.param(["curve", "--run-index", "0", "--threshold", "-1"], {}, "dent_threshold",
+                 id="curve-threshold-negative"),
+    pytest.param(["curve", "--run-index", "0"], {"dent_threshold": 0.0}, "dent_threshold",
+                 id="config-threshold-zero"),
+    pytest.param(["estimate", "--kappa-max", "nan"], {}, "kappa_max", id="estimate-kappa-nan"),
+    pytest.param(["estimate", "--kappa-max", "inf"], {}, "kappa_max", id="estimate-kappa-inf"),
+    pytest.param(["estimate"], {"kappa_max": -1.0}, "kappa_max", id="config-kappa-negative"),
+]
+
+
+@pytest.mark.parametrize("argv,options,option", OPTION_FAULTS)
+def test_bad_option_value_is_invalid_data(nv_config, tmp_path, capsys, argv, options, option):
+    # a bad value exits 3 naming its option, whether a flag or the config sets it
+    records = tmp_path / "records.json"
+    assert main(["simulate", "--config", nv_config, "--out", str(records)]) == 0
+    doc = _normalized_doc(NV_DOC)
+    doc["options"].update(options)
+    config = _write(tmp_path, "options.json", doc)
+    if argv[0] == "estimate":
+        argv = [*argv, "--records", str(records)] + (["--config", config] if options else [])
+    else:
+        argv = [*argv, "--config", config]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: option {option} must be")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags,option",
+    [(["--noise", "nan"], "noise"), (["--noise", "-1"], "noise"), (["--seed", "-1"], "seed")],
+    ids=["noise-nan", "noise-negative", "seed-negative"],
+)
+def test_reproduce_nv_bad_option_value_is_invalid_data(capsys, flags, option):
+    assert main(["reproduce-nv", *flags]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: option {option} must be")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_estimate_provenance_describes_parsed_records(nv_config, tmp_path):
@@ -358,9 +415,11 @@ def test_design_without_grid_or_threshold_uses_library_defaults(tmp_path):
     for doc, cand in zip(cli_candidates, lib_candidates):
         assert doc["condition_number"] == cand.condition_number
         assert doc["max_correction"] == cand.max_correction
-        for run_doc, run in zip(doc["runs"], cand.runs, strict=True):
-            assert run_doc["dt"] == run.dt
-            for key, v in (("r_i", run.r_i), ("p", run.p), ("q", run.q_tilde)):
+        runs = cand.runs
+        rows = zip(runs.r_i, runs.p, runs.q_tilde, runs.dt)
+        for run_doc, (r_i, p, q_tilde, dt) in zip(doc["runs"], rows, strict=True):
+            assert run_doc["dt"] == dt
+            for key, v in (("r_i", r_i), ("p", p), ("q", q_tilde)):
                 assert run_doc[key] == v.tolist()
 
 

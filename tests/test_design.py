@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -6,12 +7,10 @@ import pytest
 from weakspin import (
     CouplingTensor,
     LocalHamiltonians,
-    ProtocolRun,
+    Runs,
     correction_curve,
     find_dents,
     grid_times,
-    record_from_run,
-    run_protocol,
     run_protocol_series,
     sample_designs,
     weak_horizon,
@@ -21,18 +20,23 @@ from weakspin import design as design_module
 from weakspin.cli import main
 from weakspin.design import (
     CorrectionCurve,
-    _curves,
     _delta_at,
+    _model_errors,
     _time_indices,
     assign_time,
     predicted_design_matrix,
     sample_unit_vectors,
 )
-from weakspin.estimator import build_row, build_rows
+from weakspin.estimator import build_rows
 from weakspin.protocol import first_order_series
 from weakspin.nv import nv_coupling, nv_runs
 
-from _helpers import random_coupling, random_unit
+from _helpers import model_one, one_run, random_coupling, random_unit, run_one
+
+
+def _rows(runs):
+    """(r_i, p, q_tilde, dt) of each run, in order."""
+    return list(zip(runs.r_i, runs.p, runs.q_tilde, runs.dt))
 
 
 def _fixture_curve(values, times=None, valid=None):
@@ -41,14 +45,7 @@ def _fixture_curve(values, times=None, valid=None):
         np.arange(1, len(values) + 1) * 0.01 if times is None else np.asarray(times)
     )
     valid = np.ones(len(values), dtype=bool) if valid is None else valid
-    return CorrectionCurve(
-        r_i=np.array([0.0, 0.0, 1.0]),
-        p=np.array([0.0, 0.0, 1.0]),
-        q_tilde=np.array([1.0, 0.0, 0.0]),
-        times=times,
-        values=values,
-        valid=valid,
-    )
+    return CorrectionCurve(times=times, values=values, valid=valid)
 
 
 def test_default_grid():
@@ -90,23 +87,21 @@ def test_correction_curve_quadratic_small_time():
 
 def test_correction_curve_deterministic():
     g = nv_coupling()
-    run = nv_runs()[0]
-    a = correction_curve(run.r_i, run.p, run.q_tilde, g)
-    b = correction_curve(run.r_i, run.p, run.q_tilde, g)
+    r_i, p, q_tilde, _ = _rows(nv_runs())[0]
+    a = correction_curve(r_i, p, q_tilde, g)
+    b = correction_curve(r_i, p, q_tilde, g)
     assert np.array_equal(a.values, b.values)
 
 
 def test_correction_curve_matches_single_run_evaluation():
-    from weakspin import first_order_expectation
-
     g = nv_coupling()
-    run = nv_runs()[2]
+    r_i, p, q_tilde, _ = _rows(nv_runs())[2]
     times = np.array([0.03, 0.07])
-    curve = correction_curve(run.r_i, run.p, run.q_tilde, g, times=times)
+    curve = correction_curve(r_i, p, q_tilde, g, times=times)
     for k, t in enumerate(times):
-        out = run_protocol(ProtocolRun(r_i=run.r_i, p=run.p, q_tilde=run.q_tilde, dt=t), g)
-        model = first_order_expectation(run.r_i, out.r_f, run.p, out.q, t, g)
-        assert curve.values[k] == pytest.approx(abs(out.expectation - model), abs=1e-12)
+        r_f, q, e = run_one(r_i, p, q_tilde, t, g)
+        model = model_one(r_i, r_f, p, q, t, g)
+        assert curve.values[k] == pytest.approx(abs(e - model), abs=1e-12)
 
 
 def test_find_dents_monotone_curve_has_none():
@@ -186,9 +181,8 @@ def test_sample_designs_deterministic():
     for ca, cb in zip(a, b):
         assert ca.condition_number == cb.condition_number
         assert ca.max_correction == cb.max_correction
-        for ra, rb in zip(ca.runs, cb.runs):
-            assert np.array_equal(ra.r_i, rb.r_i)
-            assert ra.dt == rb.dt
+        assert np.array_equal(ca.runs.r_i, cb.runs.r_i)
+        assert np.array_equal(ca.runs.dt, cb.runs.dt)
 
 
 def test_sample_designs_sorted_by_conditioning():
@@ -206,9 +200,9 @@ def test_sample_designs_candidate_runtime_validity():
     best = sample_designs(13, g, 4, times=times)[0]
     assert len(best.runs) == 6
     assert np.isfinite(best.condition_number)
-    for run in best.runs:
-        assert run.dt > 0.0
-        assert abs(np.linalg.norm(run.q_tilde) - 1.0) < 1e-12
+    for _, _, q_tilde, dt in _rows(best.runs):
+        assert dt > 0.0
+        assert abs(np.linalg.norm(q_tilde) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("fields", [None, ((0.9, -1.7, 0.4), (-1.2, 0.3, 2.2))],
@@ -223,8 +217,8 @@ def test_sample_designs_scores_match_single_run_functions(fields):
         a = predicted_design_matrix(cand.runs, g, locals_)
         assert cand.condition_number == np.linalg.cond(a)
         deltas = [
-            _delta_at(correction_curve(r.r_i, r.p, r.q_tilde, g, locals_, times), r.dt)
-            for r in cand.runs
+            _delta_at(correction_curve(r_i, p, q_tilde, g, locals_, times), dt)
+            for r_i, p, q_tilde, dt in _rows(cand.runs)
         ]
         assert cand.max_correction == max(deltas)
 
@@ -311,12 +305,12 @@ def test_sample_designs_times_match_per_curve_choice(fields):
     times = grid_times((0.01, 0.3, 1e-3))  # starts late enough for dents to count
     branches = set()
     for cand in sample_designs(19, g, 10, times=times, threshold=1e-2, locals_=locals_):
-        for r in cand.runs:
-            curve = correction_curve(r.r_i, r.p, r.q_tilde, g, locals_, times)
+        for r_i, p, q_tilde, dt in _rows(cand.runs):
+            curve = correction_curve(r_i, p, q_tilde, g, locals_, times)
             idx, branch = _choice_by_loop(times, curve.values, curve.valid, 1e-2, 0.02)
             branches.add(branch)
-            assert assign_time(curve, 1e-2) == (r.dt, curve.values[idx])
-            assert r.dt == times[idx]
+            assert assign_time(curve, 1e-2) == (dt, curve.values[idx])
+            assert dt == times[idx]
     assert branches == {"horizon", "dent", "minimum"}
 
 
@@ -328,11 +322,11 @@ def test_sample_designs_draws_candidates_in_turn():
     candidates = sample_designs(23, nv_coupling(), 9, n_runs=4, times=grid_times((2e-3, 0.1, 2e-3)))
     by_first = {d[0].tobytes(): d for d in draws}
     for cand in candidates:
-        d = by_first.pop(cand.runs[0].r_i.tobytes())
-        for k, run in enumerate(cand.runs):
-            assert np.array_equal(run.r_i, d[3 * k])
-            assert np.array_equal(run.p, d[3 * k + 1])
-            assert np.array_equal(run.q_tilde, d[3 * k + 2])
+        d = by_first.pop(cand.runs.r_i[0].tobytes())
+        for k, (r_i, p, q_tilde, _) in enumerate(_rows(cand.runs)):
+            assert np.array_equal(r_i, d[3 * k])
+            assert np.array_equal(p, d[3 * k + 1])
+            assert np.array_equal(q_tilde, d[3 * k + 2])
     assert not by_first
 
 
@@ -362,27 +356,27 @@ def test_stacked_curves_with_invalid_points_match_single_curves():
     p = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     q = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     times = grid_times((2e-5, 0.2, 2e-5))
-    curves, _, _ = _curves(r_i, p, q, g, None, times)
-    assert not curves[0].valid.all() and not curves[2].valid.all()
-    assert curves[1].valid.all()
-    for k, curve in enumerate(curves):
+    values, valid, _, _ = _model_errors(r_i, p, q, g, None, times)
+    assert not valid[0].all() and not valid[2].all()
+    assert valid[1].all()
+    for k in range(3):
         # reference: a one-run series, modelled on its valid points only
         r_f, q_f, exact = run_protocol_series(r_i[k], p[k], q[k], g, None, times)
-        ok = curve.valid
+        ok = valid[k]
         model = first_order_series(r_i[k], r_f[ok], p[k], q_f[ok], times[ok], g)
-        assert np.array_equal(curve.values[ok], np.abs(exact[ok] - model))
-        assert np.all(np.isnan(curve.values[~ok]))
+        assert np.array_equal(values[k, ok], np.abs(exact[ok] - model))
+        assert np.all(np.isnan(values[k, ~ok]))
         single = correction_curve(r_i[k], p[k], q[k], g, times=times)
-        assert np.array_equal(curve.values, single.values, equal_nan=True)
+        assert np.array_equal(values[k], single.values, equal_nan=True)
+        assert np.array_equal(valid[k], single.valid)
 
 
 def test_rank_deficient_candidate_scores_infinite():
     rng = np.random.default_rng(61)
     g = nv_coupling()
-    run = ProtocolRun(
-        r_i=random_unit(rng), p=random_unit(rng), q_tilde=random_unit(rng), dt=0.05
-    )
-    a = predicted_design_matrix([run] * 6, g)
+    run = one_run(random_unit(rng), random_unit(rng), random_unit(rng), 0.05)
+    six = Runs(*(np.repeat(getattr(run, k), 6, axis=0) for k in ("r_i", "p", "q_tilde", "dt")))
+    a = predicted_design_matrix(six, g)
     assert np.linalg.cond(a) > 1e8
 
 
@@ -391,9 +385,9 @@ def test_predicted_design_matrix_exact_matches_simulation():
     runs = nv_runs()
     a = predicted_design_matrix(runs, g)
     rows = []
-    for run in runs:
-        outcome = run_protocol(run, g, LocalHamiltonians.zero())
-        rows.append(build_row(record_from_run(run, outcome)))
+    for r_i, p, q_tilde, dt in _rows(runs):
+        r_f, q, _ = run_one(r_i, p, q_tilde, dt, g, LocalHamiltonians.zero())
+        rows.append(build_rows(r_i[None], r_f[None], p[None], q[None])[0])
     assert np.allclose(a, np.array(rows), atol=1e-12)
 
 
@@ -401,11 +395,9 @@ def test_predicted_design_matrix_first_order_agrees_at_small_dt():
     # to first order in dt the target precesses about the probe's field:
     # r_f ~ r_i + 2 dt (g p) x r_i, with the axis q unchanged
     g = nv_coupling()
-    runs = [
-        ProtocolRun(r_i=r.r_i, p=r.p, q_tilde=r.q_tilde, dt=1e-4) for r in nv_runs()
-    ]
+    runs = dataclasses.replace(nv_runs(), dt=np.full(6, 1e-4))
     exact = predicted_design_matrix(runs, g)
-    r_i, p, q = (np.array([getattr(r, k) for r in runs]) for k in ("r_i", "p", "q_tilde"))
+    r_i, p, q = runs.r_i, runs.p, runs.q_tilde
     approx = build_rows(r_i, r_i + 2e-4 * np.cross(p @ g.matrix, r_i), p, q)
     assert np.max(np.abs(exact - approx)) < 1e-2
 
@@ -413,10 +405,8 @@ def test_predicted_design_matrix_first_order_agrees_at_small_dt():
 def test_first_bundled_time_sits_in_a_neighborhood_dip():
     # the first published interaction time lies below the local
     # neighborhood maximum of its model-error curve
-    run = nv_runs()[0]
-    curve = correction_curve(
-        run.r_i, run.p, run.q_tilde, nv_coupling(), times=grid_times()
-    )
+    r_i, p, q_tilde, _ = _rows(nv_runs())[0]
+    curve = correction_curve(r_i, p, q_tilde, nv_coupling(), times=grid_times())
     at_listed = curve.values[np.abs(curve.times - 0.091) < 1e-9][0]
     hood = (curve.times >= 0.081) & (curve.times <= 0.101)
     assert at_listed < curve.values[hood].max()

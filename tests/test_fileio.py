@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from weakspin import CouplingTensor, ExperimentRecord, LocalHamiltonians, ProtocolRun
+from weakspin import CouplingTensor, LocalHamiltonians, Records, Runs
 from weakspin.design import DENT_THRESHOLD_DEFAULT, GRID_DEFAULT, grid_times
 from weakspin.estimator import KAPPA_MAX_DEFAULT
 from weakspin.fileio import (
@@ -116,9 +116,7 @@ def test_grid_times_covers_range():
 def test_config_round_trip(tmp_path):
     config = ScenarioConfig(
         coupling=CouplingTensor(np.array([5.0, 4.2, 8.2, -6.3, -2.9, -2.3])),
-        runs=(
-            ProtocolRun(r_i=(0, 0, 1), p=(0, 1, 0), q_tilde=(1, 0, 0), dt=0.091),
-        ),
+        runs=Runs(r_i=[(0, 0, 1)], p=[(0, 1, 0)], q_tilde=[(1, 0, 0)], dt=[0.091]),
         locals_=LocalHamiltonians.from_fields(target=(0.0, 0.5, 1.0)),
         options=ScenarioOptions(seed=9, noise=0.02),
     )
@@ -126,31 +124,31 @@ def test_config_round_trip(tmp_path):
     save_config(config, str(path))
     loaded = load_config(str(path))
     assert np.array_equal(loaded.coupling.values, config.coupling.values)
-    assert np.array_equal(loaded.runs[0].r_i, config.runs[0].r_i)
-    assert loaded.runs[0].dt == config.runs[0].dt
+    assert np.array_equal(loaded.runs.r_i, config.runs.r_i)
+    assert loaded.runs.dt[0] == config.runs.dt[0]
     assert np.allclose(loaded.locals_.h_target, config.locals_.h_target, atol=1e-15)
     assert loaded.options == config.options
 
 
 def test_records_round_trip(tmp_path):
-    rec = ExperimentRecord(
-        r_i=(0, 0, 1),
-        r_f=(0.1, -0.2, 0.97),
-        p=(0, 1, 0),
-        q=(1, 0, 0),
-        dt=0.0625,
-        expectation=-0.123456789012345,
+    rec = Records(
+        r_i=[(0, 0, 1)],
+        r_f=[(0.1, -0.2, 0.97)],
+        p=[(0, 1, 0)],
+        q=[(1, 0, 0)],
+        dt=[0.0625],
+        expectation=[-0.123456789012345],
     )
     path = tmp_path / "records.json"
-    save_records([rec], str(path), meta={"seed": 1})
+    save_records(rec, str(path), meta={"seed": 1})
     loaded = load_records(str(path))
     assert len(loaded) == 1
-    assert loaded[0].expectation == rec.expectation  # lossless float round trip
-    assert np.array_equal(loaded[0].r_f, rec.r_f)
+    assert loaded.expectation[0] == rec.expectation[0]  # lossless float round trip
+    assert np.array_equal(loaded.r_f, rec.r_f)
 
 
 def test_parse_records_rejects_unknown_or_missing():
-    doc = records_to_doc([])
+    doc = records_to_doc(parse_records({"records": []}))
     doc["records"] = [{"r_i": [0, 0, 1]}]
     with pytest.raises(ConfigError):
         parse_records(doc)

@@ -23,17 +23,17 @@ def test_bundled_tensor_is_symmetric_and_matches_constants():
 def test_bundled_runs_are_normalized():
     runs = nv_runs()
     assert len(runs) == 6
-    for run, row in zip(runs, NV_PARAMETER_ROWS):
-        for vec in (run.r_i, run.p, run.q_tilde):
+    for k, row in enumerate(NV_PARAMETER_ROWS):
+        for vec in (runs.r_i[k], runs.p[k], runs.q_tilde[k]):
             assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-14)
         # direction preserved from the printed values
         printed = np.asarray(row[0], dtype=float)
-        assert np.allclose(run.r_i, printed / np.linalg.norm(printed), atol=1e-14)
-        assert run.dt == row[3]
+        assert np.allclose(runs.r_i[k], printed / np.linalg.norm(printed), atol=1e-14)
+        assert runs.dt[k] == row[3]
 
 
 def test_dt_scale_rescales_times():
-    assert [r.dt for r in nv_runs(0.5)] == pytest.approx(
+    assert nv_runs(0.5).dt.tolist() == pytest.approx(
         [0.5 * row[3] for row in NV_PARAMETER_ROWS]
     )
 

@@ -4,9 +4,8 @@ import pytest
 from weakspin import (
     CouplingTensor,
     LocalHamiltonians,
-    ProtocolRun,
+    Runs,
     build_interaction,
-    first_order_expectation,
     run_protocol,
     run_protocol_series,
     tensor_product,
@@ -30,10 +29,13 @@ from weakspin.protocol import (
 
 from _helpers import (
     expm_series,
+    model_one,
+    one_run,
     outcome_by_series,
     random_bloch,
     random_coupling,
     random_unit,
+    run_one,
     weak_value_by_spinors,
 )
 
@@ -66,11 +68,73 @@ def test_local_hamiltonians_validation():
 
 def test_protocol_run_validation():
     with pytest.raises(InvalidStateError):
-        ProtocolRun(r_i=(0, 0, 1.1), p=(0, 0, 1), q_tilde=(1, 0, 0), dt=0.1)
+        one_run(r_i=(0, 0, 1.1), p=(0, 0, 1), q_tilde=(1, 0, 0), dt=0.1)
     with pytest.raises(InvalidStateError):
-        ProtocolRun(r_i=(0, 0, 1), p=(0, 0, 1), q_tilde=(0.9, 0, 0), dt=0.1)
+        one_run(r_i=(0, 0, 1), p=(0, 0, 1), q_tilde=(0.9, 0, 0), dt=0.1)
     with pytest.raises(ParameterError):
-        ProtocolRun(r_i=(0, 0, 1), p=(0, 0, 1), q_tilde=(1, 0, 0), dt=0.0)
+        one_run(r_i=(0, 0, 1), p=(0, 0, 1), q_tilde=(1, 0, 0), dt=0.0)
+
+
+def _good_runs(n):
+    return {
+        "r_i": np.tile([0.0, 0.0, 1.0], (n, 1)),
+        "p": np.tile([0.0, 0.6, 0.8], (n, 1)),
+        "q_tilde": np.tile([1.0, 0.0, 0.0], (n, 1)),
+        "dt": np.full(n, 0.05),
+    }
+
+
+RUN_FAULTS = [
+    pytest.param("r_i", (0.0, 0.0, 1.0 + 1e-9), InvalidStateError, "r_i norm", id="r_i-norm"),
+    pytest.param("p", (0.0, 1.5, 0.0), InvalidStateError, "p norm 1.5 exceeds 1", id="p-norm"),
+    pytest.param("q_tilde", (0.9, 0.0, 0.0), InvalidStateError, "q_tilde norm 0.9 is not 1",
+                 id="q-unit"),
+    pytest.param("dt", 0.0, ParameterError, "dt must be positive, got 0.0", id="dt-zero"),
+    pytest.param("dt", -0.5, ParameterError, "dt must be positive, got -0.5", id="dt-negative"),
+    pytest.param("dt", np.nan, ParameterError, "dt must be positive, got nan", id="dt-nan"),
+    pytest.param("r_i", (np.nan, 0.0, 0.0), InvalidStateError, "r_i has non-finite components",
+                 id="r_i-nan"),
+    pytest.param("p", (0.0, np.inf, 0.0), InvalidStateError, "p has non-finite components",
+                 id="p-inf"),
+    pytest.param("q_tilde", (1.0, np.nan, 0.0), InvalidStateError,
+                 "q_tilde has non-finite components", id="q-nan"),
+]
+
+
+@pytest.mark.parametrize("row", [0, 3])
+@pytest.mark.parametrize("field,value,error,message", RUN_FAULTS)
+def test_runs_name_the_first_bad_row(row, field, value, error, message):
+    fields = _good_runs(5)
+    fields[field][row] = value
+    fields[field][4] = value  # a later bad row is not the one named
+    with pytest.raises(error) as info:
+        Runs(**fields)
+    assert type(info.value) is error
+    assert str(info.value).startswith(f"runs[{row}]: {message}")
+
+
+def test_runs_report_a_rows_checks_in_order():
+    # a row that fails several checks reports the first of them, in the
+    # order r_i, p, q_tilde, dt; an earlier row wins over a later one
+    fields = _good_runs(3)
+    fields["dt"][1] = -1.0
+    fields["p"][1] = (0.0, 2.0, 0.0)
+    fields["r_i"][2] = (np.nan, 0.0, 0.0)
+    with pytest.raises(InvalidStateError, match=r"^runs\[1\]: p norm 2.0 exceeds 1$"):
+        Runs(**fields)
+
+
+def test_runs_are_read_only_copies_of_consistent_shape():
+    fields = _good_runs(2)
+    runs = Runs(**fields)
+    fields["dt"][0] = 7.0
+    assert runs.dt[0] == 0.05 and len(runs) == 2
+    with pytest.raises(ValueError):
+        runs.r_i[0, 0] = 0.5
+    with pytest.raises(DimensionMismatchError):
+        Runs(**{**fields, "r_i": np.array([0.0, 0.0, 1.0])})
+    with pytest.raises(DimensionMismatchError):
+        Runs(**{**fields, "dt": np.full(3, 0.05)})
 
 
 def test_build_interaction_zero_and_zz():
@@ -113,22 +177,18 @@ def test_total_hamiltonian_adds_locals():
 
 def test_run_protocol_no_interaction_is_identity_on_bloch_data():
     rng = np.random.default_rng(23)
-    run = ProtocolRun(
-        r_i=random_bloch(rng), p=random_bloch(rng), q_tilde=random_unit(rng), dt=0.08
-    )
-    out = run_protocol(run, CouplingTensor.zero(), LocalHamiltonians.zero())
-    assert np.allclose(out.r_f, run.r_i, atol=1e-12)
-    assert np.allclose(out.q, run.q_tilde, atol=1e-12)
-    assert out.expectation == pytest.approx(float(run.q_tilde @ run.p), abs=1e-12)
+    r_i, p, q_tilde = random_bloch(rng), random_bloch(rng), random_unit(rng)
+    r_f, q, e = run_one(r_i, p, q_tilde, 0.08, CouplingTensor.zero(), LocalHamiltonians.zero())
+    assert np.allclose(r_f, r_i, atol=1e-12)
+    assert np.allclose(q, q_tilde, atol=1e-12)
+    assert e == pytest.approx(float(q_tilde @ p), abs=1e-12)
 
 
 def test_run_protocol_zero_locals_means_raw_axis():
     rng = np.random.default_rng(24)
-    run = ProtocolRun(
-        r_i=random_unit(rng), p=random_unit(rng), q_tilde=random_unit(rng), dt=0.05
-    )
-    out = run_protocol(run, random_coupling(rng), LocalHamiltonians.zero())
-    assert np.allclose(out.q, run.q_tilde, atol=0)
+    r_i, p, q_tilde = random_unit(rng), random_unit(rng), random_unit(rng)
+    _, q, _ = run_one(r_i, p, q_tilde, 0.05, random_coupling(rng), LocalHamiltonians.zero())
+    assert np.allclose(q, q_tilde, atol=0)
 
 
 def test_run_protocol_local_correction_undoes_local_rotation():
@@ -137,13 +197,11 @@ def test_run_protocol_local_correction_undoes_local_rotation():
     locals_ = LocalHamiltonians.from_fields(
         target=rng.normal(size=3) * 3.0, probe=rng.normal(size=3) * 3.0
     )
-    run = ProtocolRun(
-        r_i=random_bloch(rng), p=random_bloch(rng), q_tilde=random_unit(rng), dt=0.4
-    )
-    out = run_protocol(run, CouplingTensor.zero(), locals_)
-    assert np.allclose(out.r_f, run.r_i, atol=1e-10)
-    assert abs(np.linalg.norm(out.q) - 1.0) < 1e-10
-    assert out.expectation == pytest.approx(float(out.q @ run.p), abs=1e-10)
+    r_i, p, q_tilde = random_bloch(rng), random_bloch(rng), random_unit(rng)
+    r_f, q, e = run_one(r_i, p, q_tilde, 0.4, CouplingTensor.zero(), locals_)
+    assert np.allclose(r_f, r_i, atol=1e-10)
+    assert abs(np.linalg.norm(q) - 1.0) < 1e-10
+    assert e == pytest.approx(float(q @ p), abs=1e-10)
 
 
 def test_run_protocol_series_matches_single_runs():
@@ -156,10 +214,10 @@ def test_run_protocol_series_matches_single_runs():
     times = np.array([0.01, 0.05, 0.11])
     r_f_s, q_s, e_s = run_protocol_series(r_i, p, q, g, locals_, times)
     for k, t in enumerate(times):
-        out = run_protocol(ProtocolRun(r_i=r_i, p=p, q_tilde=q, dt=t), g, locals_)
-        assert np.array_equal(r_f_s[k], out.r_f)
-        assert np.array_equal(q_s[k], out.q)
-        assert e_s[k] == out.expectation
+        r_f, q_k, e = run_one(r_i, p, q, t, g, locals_)
+        assert np.array_equal(r_f_s[k], r_f)
+        assert np.array_equal(q_s[k], q_k)
+        assert e_s[k] == e
 
 
 SERIES_FIELDS = [
@@ -170,9 +228,9 @@ SERIES_FIELDS = [
 
 @pytest.mark.parametrize("target,probe", SERIES_FIELDS)
 def test_run_protocol_series_matches_run_protocol_bit_for_bit(target, probe):
-    # run_protocol is the one-run, one-time case of the series, and each
-    # time's arithmetic does not depend on the others, so every output
-    # bit agrees with the series and with a single-time series call
+    # a one-row run_protocol is the one-run, one-time case of the series,
+    # and each time's arithmetic does not depend on the others, so every
+    # output bit agrees with the series and with a single-time series call
     rng = np.random.default_rng(35)
     g = random_coupling(rng, max_abs=5.0)
     locals_ = LocalHamiltonians.from_fields(target=target, probe=probe)
@@ -180,10 +238,10 @@ def test_run_protocol_series_matches_run_protocol_bit_for_bit(target, probe):
     times = np.linspace(0.5 / 600, 0.5, 600)
     r_f_s, q_s, e_s = run_protocol_series(r_i, p, q, g, locals_, times)
     for k, t in enumerate(times):
-        out = run_protocol(ProtocolRun(r_i=r_i, p=p, q_tilde=q, dt=t), g, locals_)
-        assert np.array_equal(q_s[k], out.q)
-        assert np.array_equal(r_f_s[k], out.r_f)
-        assert e_s[k] == out.expectation
+        r_f, q_k, e = run_one(r_i, p, q, t, g, locals_)
+        assert np.array_equal(q_s[k], q_k)
+        assert np.array_equal(r_f_s[k], r_f)
+        assert e_s[k] == e
         single = run_protocol_series(r_i, p, q, g, locals_, [t])
         assert np.array_equal(single[0][0], r_f_s[k])
         assert np.array_equal(single[1][0], q_s[k])
@@ -257,9 +315,9 @@ def test_per_run_times_equal_per_run_calls(fields, n_times):
         assert np.array_equal(q_s[k], q_k)
         assert np.array_equal(e_s[k], e)
         for j, t in enumerate(times[k]):
-            out = run_protocol(ProtocolRun(r_i=r_i[k], p=p[k], q_tilde=q[k], dt=t), g, locals_)
-            assert np.array_equal(out.r_f, r_f_s[k, j]) and np.array_equal(out.q, q_s[k, j])
-            assert out.expectation == e_s[k, j]
+            r_f_1, q_1, e_1 = run_one(r_i[k], p[k], q[k], t, g, locals_)
+            assert np.array_equal(r_f_1, r_f_s[k, j]) and np.array_equal(q_1, q_s[k, j])
+            assert e_1 == e_s[k, j]
 
 
 def test_per_run_times_match_series_oracle():
@@ -418,7 +476,7 @@ def test_weak_value_swap_symmetry():
 def test_first_order_reduces_to_inner_product_at_zero_coupling():
     rng = np.random.default_rng(29)
     r_i, r_f, p, q = (random_unit(rng) for _ in range(4))
-    val = first_order_expectation(r_i, r_f, p, q, 0.07, CouplingTensor.zero())
+    val = model_one(r_i, r_f, p, q, 0.07, CouplingTensor.zero())
     assert val == pytest.approx(float(q @ p), abs=1e-12)
 
 
@@ -427,8 +485,8 @@ def test_first_order_linear_in_coupling():
     r_i, r_f, p, q = (random_unit(rng) for _ in range(4))
     g = random_coupling(rng)
     qp = float(q @ p)
-    f1 = first_order_expectation(r_i, r_f, p, q, 0.03, g) - qp
-    f2 = first_order_expectation(r_i, r_f, p, q, 0.03, g.scaled(2.0)) - qp
+    f1 = model_one(r_i, r_f, p, q, 0.03, g) - qp
+    f2 = model_one(r_i, r_f, p, q, 0.03, g.scaled(2.0)) - qp
     assert f2 == pytest.approx(2.0 * f1, rel=1e-10)
 
 
@@ -442,9 +500,8 @@ def _halving_gap_ratio(g, r_i, p, q, dt):
     for _ in range(12):
         gaps = []
         for t in (dt, dt / 2.0):
-            out = run_protocol(ProtocolRun(r_i=r_i, p=p, q_tilde=q, dt=t), g)
-            model = first_order_expectation(r_i, out.r_f, p, out.q, t, g)
-            gaps.append(abs(out.expectation - model))
+            r_f, q_t, e = run_one(r_i, p, q, t, g)
+            gaps.append(abs(e - model_one(r_i, r_f, p, q_t, t, g)))
         ratio = gaps[0] / gaps[1]
         if 3.5 <= ratio <= 4.5 or gaps[1] < 1e-13:
             return ratio
@@ -464,9 +521,7 @@ def test_first_order_convergence_order():
 
 def test_first_order_orthogonality_guard():
     with pytest.raises(OrthogonalPostSelectionError):
-        first_order_expectation(
-            (0, 0, 1), (0, 0, -1), (1, 0, 0), (1, 0, 0), 0.05, CouplingTensor.zero()
-        )
+        model_one((0, 0, 1), (0, 0, -1), (1, 0, 0), (1, 0, 0), 0.05, CouplingTensor.zero())
 
 
 def test_outcome_invariants_hold_for_random_runs():
@@ -476,14 +531,13 @@ def test_outcome_invariants_hold_for_random_runs():
         locals_ = LocalHamiltonians.from_fields(
             target=rng.normal(size=3), probe=rng.normal(size=3)
         )
-        run = ProtocolRun(
-            r_i=random_bloch(rng), p=random_bloch(rng),
-            q_tilde=random_unit(rng), dt=rng.uniform(0.01, 0.3),
+        r_f, q, e = run_one(
+            random_bloch(rng), random_bloch(rng), random_unit(rng), rng.uniform(0.01, 0.3),
+            g, locals_,
         )
-        out = run_protocol(run, g, locals_)
-        assert -1.0 - 1e-12 <= out.expectation <= 1.0 + 1e-12
-        assert abs(np.linalg.norm(out.q) - 1.0) < 1e-10
-        assert np.linalg.norm(out.r_f) <= 1.0 + 1e-10
+        assert -1.0 - 1e-12 <= e <= 1.0 + 1e-12
+        assert abs(np.linalg.norm(q) - 1.0) < 1e-10
+        assert np.linalg.norm(r_f) <= 1.0 + 1e-10
 
 
 def test_run_protocol_is_thread_safe():
@@ -494,15 +548,12 @@ def test_run_protocol_is_thread_safe():
     rng = np.random.default_rng(34)
     g = random_coupling(rng)
     runs = [
-        ProtocolRun(
-            r_i=random_unit(rng), p=random_unit(rng),
-            q_tilde=random_unit(rng), dt=rng.uniform(0.02, 0.1),
-        )
+        one_run(random_unit(rng), random_unit(rng), random_unit(rng), rng.uniform(0.02, 0.1))
         for _ in range(16)
     ]
     sequential = [run_protocol(r, g) for r in runs]
     with ThreadPoolExecutor(max_workers=8) as pool:
         parallel = list(pool.map(lambda r: run_protocol(r, g), runs))
     for s, p_out in zip(sequential, parallel):
-        assert np.array_equal(s.r_f, p_out.r_f)
-        assert s.expectation == p_out.expectation
+        assert np.array_equal(s[0], p_out[0])
+        assert np.array_equal(s[2], p_out[2])
